@@ -41,7 +41,6 @@ from test_perf_pipeline import (  # noqa: E402
     MIN_SCAN_BUDGET_MS,
     REGRESSION_FACTOR,
     SCAN_SCENARIOS,
-    SHARD_BENCH_SCENARIOS,
 )
 
 #: Per-scenario noise floor, in the scenario's own unit.
@@ -59,9 +58,6 @@ _FLOORS = {
     # floor keeps loaded machines from flaking the 2x budget.
     "matview_grouped_agg_100k_ms": MIN_AGG_BUDGET_MS,
     **{key: MIN_SCAN_BUDGET_MS for key in SCAN_SCENARIOS},
-    # The shard projections are deterministic simulated runtimes: no noise,
-    # no floor needed.
-    **{key: 0.0 for key in SHARD_BENCH_SCENARIOS},
 }
 
 

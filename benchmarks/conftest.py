@@ -20,11 +20,6 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "shard: shard-parallel scatter/gather execution suite (the 1M-row "
-        "projection gates; select standalone with -m shard)",
-    )
-    config.addinivalue_line(
-        "markers",
         "matview: materialized-view serve-vs-recompute gates "
         "(select standalone with -m matview)",
     )

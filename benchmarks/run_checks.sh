@@ -12,18 +12,12 @@
 #              pushdown scenarios additionally gate their live speedup over
 #              the decode-then-reduce reference (grouped >=3x, zero-scan
 #              MIN/MAX >=20x), the delta/main write split gates per-row
-#              inserts at >=5x over the inline path, the 1M-row shard
-#              projections gate >=2x over serial at fan-out 4, and the
-#              matview serve gates >=5x over recompute-per-query,
+#              inserts at >=5x over the inline path, and the matview serve
+#              gates >=5x over recompute-per-query,
 #   matview  — the materialized-view suite, standalone: refresh machinery,
 #              session serving/EXPLAIN/advisor tests, the matview-vs-base
 #              differential fuzzer and the serve-vs-recompute perf gates
 #              (also runs inside tier-1; this run proves the marker works),
-#   shard    — the shard-parallel scatter/gather suite, standalone: decision
-#              staleness, charge bit-identity vs the serial reference, the
-#              sharded differential fuzzer, spawn-vs-fork determinism and
-#              the 1M-row projection gates (also runs inside tier-1; this
-#              run proves the marker works),
 #   fuzz     — the seeded differential suites, standalone (cross-store,
 #              session-vs-legacy, pruning-vs-decode, and delta-vs-inline;
 #              they also run inside tier-1; this run proves the marker works),
@@ -31,12 +25,9 @@
 #              harness crashes the WAL/merge/checkpoint paths at every
 #              declared crash point and recovery must land on the committed
 #              prefix,
-#   resilience — the process-fault matrix over the supervised shard pool:
-#              worker kill/hang, poisoned results, shm unlink races, shm
-#              bit flips and matview refresh crashes must all yield rows
-#              and charges bit-identical to the serial reference, with
-#              retries, individual worker replacement, deadline
-#              cancellation and a clean shared-memory segment audit,
+#   resilience — query deadlines (a timed-out query bills nothing) and
+#              matview refresh crashes (an interrupted refresh never
+#              installs a partial merge),
 #   integrity — the corruption-fault matrix: flipped/truncated checkpoint
 #              snapshots are detected (never restored from), in-memory
 #              code-array flips are quarantined with typed errors naming
@@ -44,6 +35,9 @@
 #              rows and charges bit-identical, and checksum verification
 #              bills zero simulated cost (the delta_insert_100k_ms bench
 #              gate above doubles as the checksum-overhead guard),
+#   sessionbench — the session benchmark's self-test: every workload at a
+#              tiny size, untraced and traced, metric names against
+#              BENCHMARK.json, and no process left behind,
 #   examples — the session-API examples as executable documentation.
 #
 # Usage, from the repository root or this directory:
@@ -66,15 +60,10 @@ python benchmarks/compare_bench.py \
     --fail-under grouped_agg_pushdown_100k_ms=3 \
     --fail-under minmax_zero_scan_100k_ms=20 \
     --fail-under delta_insert_100k_ms=5 \
-    --fail-under shard_grouped_agg_1m_ms=2 \
-    --fail-under shard_scan_1m_ms=2 \
     --fail-under matview_grouped_agg_100k_ms=5
 
 echo "== matview: materialized-view suite + serve-vs-recompute gates =="
 python -m pytest -m matview -q tests benchmarks
-
-echo "== shard: scatter/gather differential + projection gates =="
-python -m pytest -m shard -q tests benchmarks
 
 echo "== fuzz: differential suites =="
 python -m pytest -m fuzz -q tests
@@ -82,11 +71,14 @@ python -m pytest -m fuzz -q tests
 echo "== faults: crash-point recovery suite =="
 python -m pytest -m faultinject -q tests
 
-echo "== resilience: process-fault matrix + supervised pool + deadlines =="
+echo "== resilience: deadlines + matview refresh crashes =="
 python -m pytest -m resilience -q tests
 
 echo "== integrity: corruption matrix + scrub/quarantine/repair =="
 python -m pytest -m integrity -q tests
+
+echo "== sessionbench: session benchmark self-test =="
+python3 sessionbench/smoke.py
 
 echo "== examples: session API smoke =="
 python examples/session_api.py > /dev/null

@@ -16,11 +16,6 @@ of the read-pipeline microbenchmarks on the machine that produced it:
 The tests here re-measure the hot benchmarks and fail when they regress more
 than :data:`REGRESSION_FACTOR` against the recorded baseline, so a future
 change that silently de-vectorizes a hot path shows up in CI.  The
-``shard_*_1m_ms`` scenarios are *simulated* runtimes rather than wall-clock:
-a real scatter/gather over the 1M-row table produces the serially-charged
-``CostBreakdown`` and per-shard row counts, and ``projected_parallel_ms``
-re-prices them for the 4-worker crew — deterministic on any machine, gated
-at >= 2x over the serial reference.  The
 string-group-by gate additionally pins the late-materialization acceptance
 bar (>= 2x over decode-up-front), and the selective-scan gates pin the
 code-domain/zone-map acceptance bar: the partitioned narrow-range scan must
@@ -52,7 +47,7 @@ from repro.engine.schema import TableSchema
 from repro.engine.table import StoredTable
 from repro.engine.types import DataType, Store
 from repro.engine.zonemap import zone_pruning_disabled
-from repro.query.builder import aggregate, select
+from repro.query.builder import aggregate
 from repro.query.predicates import Between, Or, ge
 
 BENCH_FILE = pathlib.Path(__file__).with_name("BENCH_pipeline.json")
@@ -333,120 +328,6 @@ def measure_matview_grouped_agg_ms(recompute_baseline: bool = False) -> float:
     return best_of(runner) * 1000.0
 
 
-# -- shard-parallel scatter/gather (1M-row projection scenarios) -----------------------
-
-SHARD_BENCH_ROWS = 1_000_000
-
-_SHARD_DATABASES: dict = {}
-
-
-def build_shard_database() -> HybridDatabase:
-    """1M-row column-store fact table for the shard scenarios (cached).
-
-    Deterministic arithmetic values (no RNG): the scenarios compare simulated
-    cost projections, which must be bit-stable across runs and machines.
-    Every column is low-cardinality on purpose — a unique-id column would
-    build a million-entry dictionary whose Python objects drag down garbage
-    collection for the rest of the process (the table is module-cached).
-    """
-    cached = _SHARD_DATABASES.get("column")
-    if cached is None:
-        schema = TableSchema.build(
-            "shard_facts",
-            [
-                ("bucket", DataType.VARCHAR),
-                ("value", DataType.DOUBLE),
-                ("hits", DataType.INTEGER),
-            ],
-        )
-        rows = [
-            {
-                "bucket": f"b{i % 16:02d}",
-                "value": float((i * 7) % 1000),
-                "hits": (i * 13) % 997,
-            }
-            for i in range(SHARD_BENCH_ROWS)
-        ]
-        cached = HybridDatabase()
-        cached.create_table(schema, store=Store.COLUMN)
-        cached.load_rows("shard_facts", rows)
-        _SHARD_DATABASES["column"] = cached
-    return cached
-
-
-def _shard_grouped_agg_query():
-    return (
-        aggregate("shard_facts")
-        .sum("value").count()
-        .group_by("bucket")
-        .where(ge("hits", 100))
-        .build()
-    )
-
-
-def _shard_scan_query():
-    # ~0.1% selectivity: the parent-side row fetch stays small enough that
-    # the parallelised scan dominates the projected bill.
-    return (
-        select("shard_facts")
-        .columns("bucket", "value")
-        .where(ge("hits", 996))
-        .build()
-    )
-
-
-def _measure_shard_projection_ms(query, parallel_components,
-                                 serial_baseline: bool = False) -> float:
-    """Simulated runtime of *query* at fan-out 4 over the 1M-row table.
-
-    The sharded execution really scatters to the worker pool (a silent
-    fallback leaves ``shard_stats`` empty and fails the measurement); its
-    serially-charged :class:`CostBreakdown` — bit-identical to the
-    ``shard_execution_disabled()`` reference by construction — is projected
-    onto the crew with :func:`projected_parallel_ms`.  The baseline is the
-    serial reference's own simulated runtime.  Both are deterministic: this
-    scenario gates the cost model's parallel projection, not wall-clock.
-    """
-    from repro.engine.shard import (
-        projected_parallel_ms,
-        shard_execution_disabled,
-    )
-
-    database = build_shard_database()
-    if serial_baseline:
-        with shard_execution_disabled():
-            return database.execute(query).cost.total_ms
-    result = database.execute(query)
-    fan_out, shards = result.shard_stats["shard_facts"]
-    return projected_parallel_ms(
-        result.cost, shards, fan_out, database.device, parallel_components
-    )
-
-
-def measure_shard_grouped_agg_ms(serial_baseline: bool = False) -> float:
-    from repro.engine.shard import AGGREGATION_PARALLEL_COMPONENTS
-
-    return _measure_shard_projection_ms(
-        _shard_grouped_agg_query(), AGGREGATION_PARALLEL_COMPONENTS,
-        serial_baseline,
-    )
-
-
-def measure_shard_scan_ms(serial_baseline: bool = False) -> float:
-    from repro.engine.shard import SELECT_PARALLEL_COMPONENTS
-
-    return _measure_shard_projection_ms(
-        _shard_scan_query(), SELECT_PARALLEL_COMPONENTS, serial_baseline
-    )
-
-
-#: Shard scenarios and their acceptance bars (>= 2x at fan-out 4).
-SHARD_BENCH_SCENARIOS = {
-    "shard_grouped_agg_1m_ms": measure_shard_grouped_agg_ms,
-    "shard_scan_1m_ms": measure_shard_scan_ms,
-}
-
-
 # -- selective range scans (code-domain predicates + zone-map pruning) -----------------
 
 
@@ -571,7 +452,6 @@ MEASUREMENTS = {
     },
     "delta_insert_100k_ms": measure_delta_insert_ms,
     "matview_grouped_agg_100k_ms": measure_matview_grouped_agg_ms,
-    **SHARD_BENCH_SCENARIOS,
     "fig10_s": measure_fig10_s,
 }
 
@@ -592,13 +472,6 @@ BASELINE_MEASUREMENTS["delta_insert_100k_ms"] = lambda: measure_delta_insert_ms(
 BASELINE_MEASUREMENTS["matview_grouped_agg_100k_ms"] = (
     lambda: measure_matview_grouped_agg_ms(recompute_baseline=True)
 )
-#: The shard baselines re-run the serial path live behind
-#: ``shard_execution_disabled()`` — it *is* the reference the sharded
-#: execution's charges are pinned against.
-for _key, _measure in SHARD_BENCH_SCENARIOS.items():
-    BASELINE_MEASUREMENTS[_key] = (
-        lambda measure=_measure: measure(serial_baseline=True)
-    )
 
 
 @pytest.fixture(scope="module")
@@ -740,49 +613,6 @@ def test_delta_insert_speedup_is_recorded():
     with BENCH_FILE.open() as handle:
         payload = json.load(handle)
     assert payload["speedup"]["delta_insert_100k_ms"] >= 5.0
-
-
-@pytest.mark.perf
-@pytest.mark.shard
-@pytest.mark.parametrize("key", sorted(SHARD_BENCH_SCENARIOS))
-def test_shard_projection_has_not_regressed(recorded, key):
-    """The projections are deterministic: 2x headroom only absorbs cost-model
-    recalibration, not machine noise."""
-    measured_ms = SHARD_BENCH_SCENARIOS[key]()
-    budget_ms = recorded[key] * REGRESSION_FACTOR
-    assert measured_ms <= budget_ms, (
-        f"{key} projected {measured_ms:.3f}ms, budget is {budget_ms:.3f}ms "
-        f"(recorded {recorded[key]:.3f}ms)"
-    )
-
-
-@pytest.mark.perf
-@pytest.mark.shard
-@pytest.mark.parametrize("key", sorted(SHARD_BENCH_SCENARIOS))
-def test_shard_live_speedup_holds(key):
-    """The shard acceptance bar, live: >= 2x over serial at fan-out 4.
-
-    Both sides are simulated runtimes from the same bit-identical
-    :class:`CostBreakdown`; the sharded side additionally proves the
-    scatter/gather really executed (``shard_stats`` feeds the projection).
-    """
-    measure = SHARD_BENCH_SCENARIOS[key]
-    projected_ms = measure()
-    serial_ms = measure(serial_baseline=True)
-    assert serial_ms / projected_ms >= 2.0, (
-        f"{key}: projected {projected_ms:.3f}ms vs serial {serial_ms:.3f}ms "
-        f"({serial_ms / projected_ms:.2f}x < 2x)"
-    )
-
-
-@pytest.mark.perf
-@pytest.mark.shard
-def test_shard_speedups_are_recorded():
-    """The recorded shard bars: >= 2x at 4 workers on scan + grouped agg."""
-    with BENCH_FILE.open() as handle:
-        payload = json.load(handle)
-    for key in SHARD_BENCH_SCENARIOS:
-        assert payload["speedup"][key] >= 2.0, key
 
 
 @pytest.mark.perf

@@ -79,25 +79,6 @@ def render_plan(plan: PhysicalPlan, actual: Optional[QueryResult] = None) -> str
         lines.append("  aggregate pushdown:")
         for table in sorted(actual.agg_strategies):
             lines.append(f"    {table:<22}{actual.agg_strategies[table]}")
-    if actual is not None and actual.shard_stats:
-        # Shard-execution telemetry: the fan-out the scatter/gather actually
-        # ran with and each shard's rows scanned/matched.  Only rendered when
-        # the query really executed sharded (a fallback leaves this empty).
-        lines.append("  shard execution (scanned/matched):")
-        for table in sorted(actual.shard_stats):
-            fan_out, shards = actual.shard_stats[table]
-            per_shard = ", ".join(
-                f"{scanned}/{matched}" for scanned, matched in shards
-            )
-            lines.append(f"    {table:<22}fan-out {fan_out}: {per_shard}")
-    if actual is not None and actual.degradations:
-        # Degradation-ladder telemetry: the execution walked down from its
-        # planned tier (e.g. shard-parallel -> retry -> serial).  A degraded
-        # query still charges the serial reference bit-identically; this
-        # block exists so the fallback never happens silently.
-        lines.append("  degraded:")
-        for table in sorted(actual.degradations):
-            lines.append(f"    {table:<22}{actual.degradations[table]}")
     if actual is not None and actual.integrity:
         # Integrity telemetry: checksum verifications (and any detections or
         # quarantines) this execution performed.  Verification is billed
@@ -190,10 +171,6 @@ def _operator_tree(plan: PhysicalPlan) -> List[str]:
             lines.append(f"   strategy: {strategy.describe()}")
         if plan.view_rewrite is not None:
             lines.append(f"   rewrite: {plan.view_rewrite.describe()}")
-        shards = access[query.table].shard_decision
-        if shards is not None and shards.sharded:
-            lines.append(f"   shards: {shards.describe()}")
-            lines.append(f"   ladder: {shards.describe_ladder()}")
         depth = 1
         for join in query.joins:
             pad = "   " * depth
@@ -208,10 +185,6 @@ def _operator_tree(plan: PhysicalPlan) -> List[str]:
         columns = ", ".join(query.columns) if query.columns else "*"
         suffix = f" LIMIT {query.limit}" if query.limit is not None else ""
         lines.append(f"-> Project {columns}{suffix}")
-        shards = access[query.table].shard_decision
-        if shards is not None and shards.sharded:
-            lines.append(f"   shards: {shards.describe()}")
-            lines.append(f"   ladder: {shards.describe_ladder()}")
         scan_lines(query.table, 1, query.predicate)
     elif isinstance(query, InsertQuery):
         lines.append(f"-> Insert into {query.table} ({query.num_rows} row(s))")

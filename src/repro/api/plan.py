@@ -72,9 +72,6 @@ class TableAccessPlan:
     #: Aggregate-pushdown strategy (base table of an aggregation only); the
     #: executor consumes the same object, so EXPLAIN and execution coincide.
     aggregate_strategy: Optional[AggregateStrategy] = None
-    #: Shard fan-out decision (base table of a read query only); the
-    #: executor consumes the same object.
-    shard_decision: Optional[Any] = None
 
     def describe(self) -> str:
         text = f"{self.table}: {self.layout}, {self.num_rows} rows, {self.access}"
@@ -83,9 +80,6 @@ class TableAccessPlan:
         decision = self.scan_decision
         if decision is not None and decision.skipped:
             text += f" [zone pruning: {decision.describe()}]"
-        shards = self.shard_decision
-        if shards is not None and shards.sharded:
-            text += f" [shards: {shards.describe()}]"
         return text
 
 
@@ -242,10 +236,6 @@ class Planner:
             getattr(paths.get(name), "aggregate_strategy", None)
             if name == query.table else None
         )
-        shards = (
-            getattr(paths.get(name), "shard_decision", None)
-            if name == query.table else None
-        )
         if isinstance(table, PartitionedTable):
             return TableAccessPlan(
                 table=name,
@@ -257,7 +247,6 @@ class Planner:
                 pruning=self._pruning_note(table, query),
                 scan_decision=decision,
                 aggregate_strategy=strategy,
-                shard_decision=shards,
             )
         return TableAccessPlan(
             table=name,
@@ -268,7 +257,6 @@ class Planner:
             layout=entry.describe_layout(),
             scan_decision=decision,
             aggregate_strategy=strategy,
-            shard_decision=shards,
         )
 
     @staticmethod

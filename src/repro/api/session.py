@@ -46,7 +46,6 @@ from repro.config import (
     DeviceModelConfig,
     DurabilityConfig,
     IntegrityConfig,
-    ResilienceConfig,
 )
 from repro.core.advisor.advisor import StorageAdvisor
 from repro.core.advisor.recommendation import Recommendation
@@ -64,12 +63,6 @@ from repro.engine.integrity import (
     apply_integrity_config,
     integrity_counters,
     scrub,
-)
-from repro.engine.shard import (
-    apply_resilience_config,
-    audit_shared_segments,
-    resilience_counters,
-    shutdown_worker_pool,
 )
 from repro.engine.wal import RecoveryReport, WriteAheadLog, recover as wal_recover
 from repro.engine.executor.executor import QueryResult
@@ -112,17 +105,9 @@ class SessionStats:
     view_incremental_refreshes: int = 0
     #: Serve-time refreshes that recomputed from scratch (incl. initial).
     view_full_refreshes: int = 0
-    #: Sharded attempts retried after a failure (resilience layer, this
-    #: session's lifetime — deltas of the process-wide counters).
-    shard_retries: int = 0
-    #: Worker processes the shard supervisor replaced individually.
-    shard_worker_replacements: int = 0
-    #: Queries that exhausted the sharded retry budget and ran serially.
+    #: Always 0: sessionbench/tracing.py still reads it; goes with the next
+    #: benchmark change.
     shard_degradations: int = 0
-    #: Shared-memory segments the close/atexit audit had to reclaim.
-    shard_segments_reclaimed: int = 0
-    #: Unexpected (non-race) errors swallowed during pool teardown.
-    shard_teardown_errors: int = 0
     #: Queries cancelled by an expired ``execute(timeout=...)`` deadline.
     query_timeouts: int = 0
     #: Checksum verifications performed (integrity layer, this session's
@@ -188,7 +173,6 @@ class Session:
         plan_cache_capacity: int = 512,
         wal_path: Optional[str] = None,
         durability: Optional[DurabilityConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
         integrity: Optional[IntegrityConfig] = None,
     ) -> None:
         self.database = database if database is not None else HybridDatabase(device_config)
@@ -208,14 +192,10 @@ class Session:
         self._view_incremental_refreshes = 0
         self._view_full_refreshes = 0
         self._query_timeouts = 0
-        # Resilience counters are process-wide (the worker pool is shared);
-        # the session reports its own lifetime as deltas from this snapshot.
-        self._resilience_baseline = resilience_counters().snapshot()
-        # Integrity counters follow the same process-wide pattern.
+        # Integrity counters are process-wide; the session reports its own
+        # lifetime as deltas from this snapshot.
         self._integrity_baseline = integrity_counters().snapshot()
         self._closed = False
-        if resilience is not None:
-            apply_resilience_config(resilience)
         if integrity is not None:
             apply_integrity_config(integrity)
         if durability is not None:
@@ -259,14 +239,6 @@ class Session:
         try:
             self.clear_caches()
             self._plan_listeners.clear()
-            # The shard worker pool is process-wide (shared-memory segments
-            # plus worker processes); closing the session releases it.  The
-            # next sharded query — from a later session — recreates it.
-            # The ledger audit then asserts every segment the pool ever
-            # published was unlinked exactly once, reclaiming (and counting)
-            # anything a mid-query worker death managed to orphan.
-            shutdown_worker_pool()
-            audit_shared_segments()
         finally:
             wal = self.database.wal
             if wal is not None and not wal.closed:
@@ -322,9 +294,8 @@ class Session:
 
         *timeout* (seconds) arms a cooperative deadline over the execution:
         on expiry :class:`~repro.errors.QueryTimeoutError` is raised, no
-        result is recorded, no cost is billed (the cancelled execution's
-        accountant dies with it) and the shard worker pool — if a wedged
-        worker had to be abandoned — is repaired before the error surfaces.
+        result is recorded and no cost is billed (the cancelled execution's
+        accountant dies with it).
         """
         template = self._template(query_or_sql)
         bound = bind(template, self.database.catalog, params)
@@ -523,8 +494,6 @@ class Session:
     def stats(self) -> SessionStats:
         """Counter snapshot: pipeline, plan-cache and estimate-memo activity."""
         memo = self._advisor.cost_model.memo
-        live = resilience_counters()
-        base = self._resilience_baseline
         integrity_live = integrity_counters()
         integrity_base = self._integrity_baseline
         return SessionStats(
@@ -542,19 +511,6 @@ class Session:
             view_rewrite_misses=self._view_rewrite_misses,
             view_incremental_refreshes=self._view_incremental_refreshes,
             view_full_refreshes=self._view_full_refreshes,
-            shard_retries=live.shard_retries - base.shard_retries,
-            shard_worker_replacements=(
-                live.worker_replacements - base.worker_replacements
-            ),
-            shard_degradations=(
-                live.shard_degradations - base.shard_degradations
-            ),
-            shard_segments_reclaimed=(
-                live.segments_reclaimed - base.segments_reclaimed
-            ),
-            shard_teardown_errors=(
-                live.teardown_errors - base.teardown_errors
-            ),
             query_timeouts=self._query_timeouts,
             integrity_units_verified=(
                 integrity_live.units_verified - integrity_base.units_verified
@@ -745,7 +701,6 @@ def connect(
     plan_cache_capacity: int = 512,
     wal_path: Optional[str] = None,
     durability: Optional[DurabilityConfig] = None,
-    resilience: Optional[ResilienceConfig] = None,
     integrity: Optional[IntegrityConfig] = None,
 ) -> Session:
     """Open a :class:`Session` over a new (or an existing) database.
@@ -754,11 +709,8 @@ def connect(
     log at that path so the database can be rebuilt with :func:`recover`
     after a crash.  *durability* tunes the WAL sync mode and the delta
     merge threshold (see :class:`~repro.config.DurabilityConfig`).
-    *resilience* tunes the resilient execution layer — shard retry budget,
-    gather timeout, backoff — process-wide (see
-    :class:`~repro.config.ResilienceConfig`).  *integrity* tunes the
-    checksum layer — scan-time and shard-attach verification — also
-    process-wide (see :class:`~repro.config.IntegrityConfig`).
+    *integrity* tunes the checksum layer process-wide (see
+    :class:`~repro.config.IntegrityConfig`).
     """
     return Session(
         database=database,
@@ -767,7 +719,6 @@ def connect(
         plan_cache_capacity=plan_cache_capacity,
         wal_path=wal_path,
         durability=durability,
-        resilience=resilience,
         integrity=integrity,
     )
 

@@ -75,9 +75,9 @@ class DeviceModelConfig:
     #: Fixed per-partition overhead added when a query spans partitions
     #: (union / join assembly bookkeeping).
     partition_overhead_ns: float = 5_000.0
-    #: Per-shard scatter/gather overhead of the shard-parallel executor
-    #: (task dispatch, result collection and merge bookkeeping).  Consumed
-    #: only by the parallel-runtime projection — never billed to a query's
+    #: Per-shard scatter/gather overhead (task dispatch, result collection
+    #: and merge bookkeeping) priced by the advisor's shard-key what-if.
+    #: Execution is serial, so it is never billed to a query's
     #: :class:`~repro.engine.timing.CostBreakdown`.
     shard_dispatch_ns: float = 25_000.0
 
@@ -142,54 +142,23 @@ class DurabilityConfig:
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
-    """Knobs of the resilient execution layer (shard retries, deadlines).
-
-    Consumed by :func:`repro.api.connect` (``resilience=...``) and applied to
-    the shard executor's process-wide defaults; ``shard_config(...)`` scopes
-    temporary overrides the same way tests override the fan-out.
-    """
-
-    #: Total sharded attempts per query (1 = no retry) before the query
-    #: degrades to the serial rung of the ladder.
-    max_attempts: int = 2
-    #: Base seconds the parent waits for a gather before declaring the crew
-    #: wedged.  Scaled up with the sharded row count (see
-    #: :func:`repro.engine.shard.gather_timeout_for`) so large benches under
-    #: CI load don't trip it.
-    gather_timeout_s: float = 30.0
-    #: Base of the bounded exponential backoff between retry attempts; the
-    #: delay for attempt *n* is ``backoff_s * 2**(n-1)`` plus deterministic
-    #: jitter, capped at :attr:`backoff_cap_s`.
-    backoff_s: float = 0.05
-    #: Upper bound on any single retry backoff sleep.
-    backoff_cap_s: float = 1.0
-    #: Poll interval of the gather loop — the granularity at which worker
-    #: deaths, gather timeouts and query deadlines are detected.
-    heartbeat_poll_s: float = 0.05
-
-
-@dataclass(frozen=True)
 class IntegrityConfig:
     """Knobs of the data-integrity layer (checksums, scrub, quarantine).
 
     Consumed by :func:`repro.api.connect` (``integrity=...``) and applied to
-    the engine's process-wide defaults (the shard worker pool and its shared
-    segments are process-wide, so checksum policy must be too).  Verification
-    is billed zero simulated cost either way — only wall clock and the
-    integrity counters are affected.
+    the engine's process-wide defaults, so the last session that passes one
+    sets the policy for every session.  Verification is billed zero
+    simulated cost either way — only wall clock and the integrity counters
+    are affected.
     """
 
-    #: Master switch.  ``False`` disables checksum maintenance, scan-time
-    #: verification and shard shm verification entirely (quarantine state
-    #: already recorded keeps raising — corrupt data is never served).
+    #: Master switch.  ``False`` disables checksum maintenance and scan-time
+    #: verification entirely (quarantine state already recorded keeps
+    #: raising — corrupt data is never served).
     enabled: bool = True
     #: Verify a column-store unit's checksum (at most once per zone epoch)
     #: when a scan first reads it.
     verify_on_scan: bool = True
-    #: Ship expected code-array crcs with shard tasks so workers verify the
-    #: attached shared-memory segments before executing.
-    verify_on_attach: bool = True
 
 
 @dataclass
@@ -199,6 +168,5 @@ class ReproConfig:
     device: DeviceModelConfig = field(default_factory=DeviceModelConfig)
     advisor: AdvisorConfig = field(default_factory=AdvisorConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
     seed: int = DEFAULT_SEED

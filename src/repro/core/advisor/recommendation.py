@@ -99,12 +99,13 @@ class TableRecommendation:
 
 @dataclass
 class ShardKeyRecommendation:
-    """The advisor's shard-parallelism decision for one table.
+    """The advisor's shard-key what-if verdict for one table.
 
     ``shard_key`` is the column whose grouping the shard layout should align
     with (``None`` = plain row-range shards); the estimates come from the
     same what-if repricing machinery as the store decision, memoized in the
-    cost model's :class:`~repro.core.cost_model.memo.EstimateMemo`.
+    cost model's :class:`~repro.core.cost_model.memo.EstimateMemo`.  They
+    are simulated cost: the engine itself always executes serially.
     """
 
     table: str

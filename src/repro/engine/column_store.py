@@ -1185,28 +1185,8 @@ class ColumnStoreTable:
         return result
 
     def compressed_column(self, column: str) -> CompressedColumn:
-        """The main store's compressed column (shard publication reads it)."""
+        """The main store's compressed column (the integrity scrub reads it)."""
         return self._columns[column]
-
-    def charge_encoded_read(
-        self, column: str, num_positions: Optional[int],
-        accountant: CostAccountant,
-    ) -> None:
-        """Replay :meth:`column_encoded`'s charges without reading.
-
-        The sharded aggregation path gathers its inputs from worker
-        processes and then bills the serial collect exactly:
-        ``num_positions=None`` is the unfiltered full-column scan, an int is
-        a filtered materialisation of that many positions.  Only valid with
-        an empty delta — sharding never runs otherwise.
-        """
-        if num_positions is None:
-            accountant.charge_sequential_read(
-                "column_scan", self._logical_code_bytes(column)
-            )
-            accountant.charge_dict_decodes(self._num_rows)
-        else:
-            self._charge_materialisation(column, num_positions, accountant)
 
     def column_encoded(
         self,

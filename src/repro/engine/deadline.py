@@ -4,16 +4,12 @@
 of the statement via :func:`query_deadline`.  Execution is single-threaded,
 so cancellation is *cooperative*: long-running stages call
 :func:`deadline_check` at natural yield points — the executor before each
-operator, the access paths before each collect, the materialized-view
-refresh before each unit recompute, and (most importantly) the shard gather
-loop, which polls with a short interval so even a wedged worker process is
-abandoned within one poll of the deadline.
+operator, the access paths before each collect and the materialized-view
+refresh before each unit recompute.
 
 The contract on expiry is strict: :class:`~repro.errors.QueryTimeoutError`
 propagates before any :class:`~repro.engine.timing.CostBreakdown` is handed
-to the caller (sharded execution charges nothing until the gather is fully
-in hand, so a cancelled query bills nothing), and the shard pool repairs any
-worker it had to abandon, so the next query runs shard-parallel again.
+to the caller, so a cancelled query bills nothing.
 
 Deadlines nest: an inner ``query_deadline`` can only tighten the deadline an
 outer one armed, never extend it.
@@ -28,9 +24,7 @@ from typing import Iterator, Optional
 from repro.errors import QueryTimeoutError
 
 __all__ = [
-    "active_deadline",
     "deadline_check",
-    "deadline_remaining",
     "query_deadline",
 ]
 
@@ -57,18 +51,6 @@ def query_deadline(timeout_s: Optional[float]) -> Iterator[None]:
         yield
     finally:
         _DEADLINE = previous
-
-
-def active_deadline() -> Optional[float]:
-    """The armed monotonic deadline, or ``None`` when no timeout is set."""
-    return None if _DEADLINE is None else _DEADLINE[0]
-
-
-def deadline_remaining() -> Optional[float]:
-    """Seconds until the armed deadline (clamped at 0), or ``None``."""
-    if _DEADLINE is None:
-        return None
-    return max(0.0, _DEADLINE[0] - time.monotonic())
 
 
 def deadline_check() -> None:

@@ -35,7 +35,6 @@ from repro.engine.executor.agg_pushdown import (
     AggregateUnit,
     derive_aggregate_strategy,
 )
-from repro.engine.shard import ShardDecision, derive_shard_decision
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
@@ -92,10 +91,6 @@ class AccessPath:
     #: The most recent :class:`AggregateStrategy` (set by
     #: :meth:`plan_aggregate` or re-derived at execution time).
     aggregate_strategy: Optional[AggregateStrategy] = None
-
-    #: The most recent :class:`~repro.engine.shard.ShardDecision` (set by
-    #: :meth:`plan_shards` or re-derived at execution time).
-    shard_decision: Optional["ShardDecision"] = None
 
     #: Whether this path can serve per-partition batches for the
     #: partition-partial aggregation tier.
@@ -160,25 +155,10 @@ class AccessPath:
         """The prunable units the aggregate derivation reasons over."""
         raise NotImplementedError
 
-    # -- shard planning ------------------------------------------------------------
-
-    def plan_shards(self, query) -> "ShardDecision":
-        """Derive (and record) the shard fan-out decision for *query*.
-
-        Called by the planner/executor when resolving paths; execution
-        re-uses the recorded decision as long as its zone-epoch token, the
-        query, the toggles and the shard configuration still match.
-        """
-        decision = derive_shard_decision(self, query)
-        self.shard_decision = decision
-        return decision
-
-    def shard_decision_for(self, query) -> "ShardDecision":
-        """The valid shard decision for *query* — recorded if fresh, else re-derived."""
-        decision = self.shard_decision
-        if decision is not None and decision.matches(query, self._zone_token()):
-            return decision
-        return self.plan_shards(query)
+    # Never called: sessionbench/tracing.py still traces this name; it goes
+    # with the next benchmark change.
+    def plan_shards(self, query) -> None:
+        return None
 
     # -- reads -------------------------------------------------------------------
 

@@ -43,21 +43,13 @@ class QueryResult:
     #: Per-table ``(main rows, delta rows)`` scanned — the delta/main split's
     #: telemetry, reported by ``EXPLAIN ANALYZE`` when a scan read a delta.
     delta_scans: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: Per-table ``(fan_out, ((rows scanned, rows matched), ...))`` of a
-    #: shard-parallel execution — empty when the query ran serially.
-    shard_stats: Dict[str, Tuple[int, Tuple[Tuple[int, int], ...]]] = field(
-        default_factory=dict
-    )
+    #: Always empty: sessionbench/workloads.py still reads it; goes with the
+    #: next benchmark change.
+    shard_stats: Dict[str, Any] = field(default_factory=dict)
     #: Materialized-view serves: view name -> how it was served ("served", or
     #: "served after <kind> refresh" when the view was stale).  Empty when the
     #: query ran against base tables; reported by ``EXPLAIN ANALYZE``.
     view_hits: Dict[str, str] = field(default_factory=dict)
-    #: Per-table degradation-ladder walks: table -> a description of the
-    #: rungs walked (e.g. "shard-parallel -> retry x1 -> serial (...)").
-    #: Empty when every tier executed as planned; a degraded query still
-    #: charges exactly the serial reference — this keeps the fallback
-    #: visible in ``EXPLAIN ANALYZE``.
-    degradations: Dict[str, str] = field(default_factory=dict)
     #: Integrity-counter movements this query caused (checksum
     #: verifications, detections, quarantines) — empty for the common
     #: all-clean, already-verified case; reported by ``EXPLAIN ANALYZE``.
@@ -111,10 +103,6 @@ class QueryExecutor:
                 paths[query.table].plan_scan(predicate)
         if isinstance(query, AggregationQuery):
             paths[query.table].plan_aggregate(query)
-        if isinstance(query, (SelectQuery, AggregationQuery)):
-            # Shard planning runs last: the aggregation verdict above feeds
-            # the shard eligibility test (zero-scan answers never shard).
-            paths[query.table].plan_shards(query)
         return paths
 
     def execute(self, query: Query) -> QueryResult:
@@ -141,8 +129,6 @@ class QueryExecutor:
                                scan_stats=accountant.scan_stats,
                                agg_strategies=accountant.aggregate_strategies,
                                delta_scans=accountant.delta_scans,
-                               shard_stats=accountant.shard_stats,
-                               degradations=accountant.degradations,
                                integrity=integrity_counters().delta(integrity_base))
         path = paths[query.table]
         if isinstance(query, SelectQuery):
@@ -150,8 +136,6 @@ class QueryExecutor:
             return QueryResult(rows=rows, affected_rows=0, cost=accountant.breakdown,
                                scan_stats=accountant.scan_stats,
                                delta_scans=accountant.delta_scans,
-                               shard_stats=accountant.shard_stats,
-                               degradations=accountant.degradations,
                                integrity=integrity_counters().delta(integrity_base))
         if isinstance(query, InsertQuery):
             affected = execute_insert(query, path, accountant)

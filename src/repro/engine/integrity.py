@@ -1,9 +1,9 @@
 """End-to-end data integrity: content checksums, quarantine, scrub.
 
 PR 6 gave WAL records crc32 framing, but everything *after* the log was
-trusted blindly: checkpoint snapshots, the in-memory code arrays and the
-shared-memory segments shipped to shard workers would serve a flipped bit
-silently (or surface it as a raw pickle/numpy error far from its cause).
+trusted blindly: checkpoint snapshots and the in-memory code arrays would
+serve a flipped bit silently (or surface it as a raw pickle/numpy error far
+from its cause).
 This module is the common core of the integrity layer:
 
 * **Unit checksums** — a partition unit here is one column of one
@@ -27,24 +27,16 @@ This module is the common core of the integrity layer:
   interaction — so every differential fuzzer stays bit-identical with
   integrity on or off.
 
-* **Eager shard verification** — the parent ships each column's expected
-  code-array crc (:func:`codes_checksum`, served from the same epoch
-  cache) with every shard task; workers recompute it over the attached
-  shared-memory segment before executing.  A mismatch fails the task,
-  which feeds PR 9's degradation ladder: republish → retry (fresh
-  segments copied from canonical memory) → serial, which never touches a
-  segment at all.
-
 * **The scrubber** — :func:`scrub` walks every table's partition units
   (``integrity_units()`` on ``StoredTable``/``PartitionedTable``),
   verifies each against its recorded baseline and returns an
   :class:`IntegrityReport`; ``Session.verify_integrity()`` is the public
   entry point and ``Session.repair()`` consumes the report.
 
-Process-wide counters (:func:`integrity_counters`) follow the resilience
-layer's pattern: sessions snapshot at construction and report lifetime
-deltas in ``SessionStats``; the executor diffs them around each query for
-the ``EXPLAIN ANALYZE`` ``integrity:`` lines.
+Process-wide counters (:func:`integrity_counters`): sessions snapshot them
+at construction and report lifetime deltas in ``SessionStats``; the executor
+diffs them around each query for the ``EXPLAIN ANALYZE`` ``integrity:``
+lines.
 """
 
 from __future__ import annotations
@@ -64,11 +56,10 @@ from repro.errors import DataCorruptionError
 
 
 def codes_checksum(codes: np.ndarray) -> int:
-    """crc32 of a code array's contents — the bytes a shared segment holds.
+    """crc32 of a code array's contents, viewed as contiguous int64.
 
-    The array is viewed as contiguous int64 (the layout both the canonical
-    main store and the published shared-memory segments use), so the parent
-    and a worker computing this over equal contents always agree.
+    The view makes the result depend on the values only, not on the array's
+    dtype width or strides.
     """
     return zlib.crc32(
         np.ascontiguousarray(codes, dtype=np.int64).tobytes()
@@ -82,7 +73,7 @@ def unit_checksum(codes: np.ndarray, dictionary) -> int:
     deterministic for equal values, NULL/NaN entries included — continued
     from the code-array crc so a flip in either part changes the result.
     """
-    crc = zlib.crc32(np.ascontiguousarray(codes, dtype=np.int64).tobytes())
+    crc = codes_checksum(codes)
     payload = pickle.dumps(
         tuple(dictionary.values), protocol=pickle.HIGHEST_PROTOCOL
     )
@@ -95,12 +86,7 @@ _CONFIG = IntegrityConfig()
 
 
 def apply_integrity_config(config: IntegrityConfig) -> None:
-    """Install *config* as the process-wide integrity policy.
-
-    Process-wide for the same reason the resilience knobs are: the shard
-    worker pool and its shared segments are shared across sessions, so the
-    checksum policy governing them must be too.
-    """
+    """Install *config* as the process-wide integrity policy."""
     global _CONFIG
     _CONFIG = config
 
@@ -116,10 +102,6 @@ def integrity_enabled() -> bool:
 
 def verify_on_scan_enabled() -> bool:
     return _CONFIG.enabled and _CONFIG.verify_on_scan
-
-
-def verify_on_attach_enabled() -> bool:
-    return _CONFIG.enabled and _CONFIG.verify_on_attach
 
 
 @contextmanager
@@ -197,8 +179,8 @@ class TableIntegrity:
     def __init__(self, table: str) -> None:
         self.table = table
         self.partition: Optional[str] = None
-        #: column -> (zone epoch, codes crc, full unit crc)
-        self._checksums: Dict[str, Tuple[int, int, int]] = {}
+        #: column -> (zone epoch, full unit crc)
+        self._checksums: Dict[str, Tuple[int, int]] = {}
         #: column -> zone epoch at which the lazy scan check last ran
         self._scan_verified: Dict[str, int] = {}
         #: column -> reason; entries survive until repair replaces the unit
@@ -235,24 +217,18 @@ class TableIntegrity:
     # -- checksums -----------------------------------------------------------------
 
     def expected(self, column: str, codes: np.ndarray, dictionary,
-                 epoch: int) -> Tuple[int, int]:
-        """``(codes crc, unit crc)`` recorded for *column* at *epoch*.
+                 epoch: int) -> int:
+        """The unit crc recorded for *column* at *epoch*.
 
         Records a fresh baseline when the epoch moved (a mutation
-        legitimately changed the content).  The shard publisher reads the
-        codes crc from here, so segment verification and scan verification
-        share one definition of "expected".
+        legitimately changed the content).
         """
         cached = self._checksums.get(column)
         if cached is not None and cached[0] == epoch:
-            return cached[1], cached[2]
-        codes_crc = codes_checksum(codes)
-        payload = pickle.dumps(
-            tuple(dictionary.values), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        unit_crc = zlib.crc32(payload, codes_crc) & 0xFFFFFFFF
-        self._checksums[column] = (epoch, codes_crc, unit_crc)
-        return codes_crc, unit_crc
+            return cached[1]
+        unit_crc = unit_checksum(codes, dictionary)
+        self._checksums[column] = (epoch, unit_crc)
+        return unit_crc
 
     def verify(self, column: str, codes: np.ndarray, dictionary,
                epoch: int) -> bool:
@@ -268,12 +244,12 @@ class TableIntegrity:
             self.expected(column, codes, dictionary, epoch)
             return True
         actual = unit_checksum(codes, dictionary)
-        if actual == cached[2]:
+        if actual == cached[1]:
             return True
         _COUNTERS.corruption_detected += 1
         self.quarantine(
             column,
-            f"checksum mismatch (expected {cached[2]:#010x}, "
+            f"checksum mismatch (expected {cached[1]:#010x}, "
             f"found {actual:#010x})",
         )
         return False

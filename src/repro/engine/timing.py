@@ -87,9 +87,9 @@ class DeviceModel:
     def shard_dispatch(self, fan_out: int) -> float:
         """Scatter/gather overhead of a *fan_out*-way sharded execution.
 
-        Used only by the parallel-runtime projection
-        (:func:`repro.engine.shard.projected_parallel_ms`) — never charged
-        to a :class:`CostBreakdown`, which stays bit-identical to serial.
+        Used only by the advisor's shard-key what-if
+        (:meth:`~repro.core.advisor.advisor.StorageAdvisor.recommend_shard_keys`);
+        execution is serial and never charges it.
         """
         return max(0, fan_out) * self.config.shard_dispatch_ns
 
@@ -156,17 +156,6 @@ class CostAccountant:
         # only — the charges are logical (main + delta) and identical either
         # way; EXPLAIN ANALYZE reports these so merge pressure is visible.
         self._delta_scans: Dict[str, list] = {}
-        # Per-table shard telemetry: the fan-out and per-shard
-        # ``(rows scanned, rows matched)`` of a sharded scatter/gather
-        # execution.  Counters only — sharding replays the serial charges
-        # bit-identically; EXPLAIN ANALYZE reports these per shard.
-        self._shard_execs: Dict[str, tuple] = {}
-        # Per-table degradation-ladder telemetry: a description of each walk
-        # down the ladder (e.g. "shard-parallel -> retry x1 -> serial (...)")
-        # taken while answering this query.  Telemetry only — a degraded
-        # query charges exactly what the serial path charges; EXPLAIN
-        # ANALYZE renders these so a silent fallback stays visible.
-        self._degradations: Dict[str, str] = {}
 
     # -- generic ---------------------------------------------------------------
 
@@ -279,34 +268,6 @@ class CostAccountant:
             table: (counts[0], counts[1])
             for table, counts in self._delta_scans.items()
         }
-
-    def record_shard_execution(
-        self, table: str, fan_out: int, shards: "tuple"
-    ) -> None:
-        """Record a sharded execution of *table*.
-
-        *shards* holds one ``(rows scanned, rows matched)`` pair per shard in
-        shard order.
-        """
-        self._shard_execs[table] = (fan_out, tuple(shards))
-
-    @property
-    def shard_stats(self) -> Dict[str, tuple]:
-        """Per-table ``(fan_out, ((scanned, matched), ...))`` of sharded scans."""
-        return dict(self._shard_execs)
-
-    def record_degradation(self, table: str, description: str) -> None:
-        """Record one walk down the degradation ladder for *table*.
-
-        *description* names the rungs walked and the triggering failure,
-        e.g. ``"shard-parallel -> retry x1 -> serial (shard worker died)"``.
-        """
-        self._degradations[table] = description
-
-    @property
-    def degradations(self) -> Dict[str, str]:
-        """Per-table degradation-ladder descriptions consumed by this query."""
-        return dict(self._degradations)
 
     # -- results ----------------------------------------------------------------
 

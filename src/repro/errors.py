@@ -31,13 +31,11 @@ class ExecutionError(ReproError):
 class QueryTimeoutError(ExecutionError):
     """A query exceeded its deadline and was cooperatively cancelled.
 
-    Raised by :func:`repro.engine.deadline.deadline_check` (and the shard
-    gather loop) when ``Session.execute(timeout=...)`` set a deadline that
-    expired mid-execution.  Cancellation is cooperative but prompt — the
-    sharded gather polls, so even a wedged worker is abandoned within a poll
-    interval of the deadline — and clean: no partial result is returned, no
-    cost is billed, and the worker pool is repaired before the error
-    propagates.  ``timeout_s`` carries the deadline that expired.
+    Raised by :func:`repro.engine.deadline.deadline_check` when
+    ``Session.execute(timeout=...)`` set a deadline that expired
+    mid-execution.  Cancellation is cooperative and clean: no partial result
+    is returned and no cost is billed.  ``timeout_s`` carries the deadline
+    that expired.
     """
 
     def __init__(self, message: str, timeout_s: "float | None" = None) -> None:

@@ -1,6 +1,4 @@
-"""Fault-injection harness: crash points, torn writes and process faults.
-
-Two families of fault live here.
+"""Fault-injection harness: crash points, torn writes and corruption.
 
 **Crash points** — the WAL, the delta merge, the checkpoint and the
 materialized-view refresh call :func:`fault_point` at every step that a
@@ -10,25 +8,15 @@ crash could separate from its neighbours, naming the point (see
 
 * **crash** at a named point (``CrashError`` propagates out of the engine,
   standing in for the process dying at exactly that instruction), optionally
-  only at the *n*-th hit — or at *every* hit (``every_hit=True``), which the
-  resilience suite uses to exhaust the shard retry budget,
+  only at the *n*-th hit,
 * **tear a write**: the WAL routes every buffer flush through
   :func:`filter_write`, and a plan with ``torn_bytes`` set lets only that
   many bytes of the flush reach the file before crashing — the classic
   torn-page failure a recovery log must tolerate.
 
-**Process faults** — the shard-parallel executor asks :func:`process_fault`
-whether to sabotage the current scatter/gather (see :data:`PROCESS_FAULTS`).
-Unlike a crash point, triggering one does not raise in the parent: the
-parent *arranges* the fault — a worker killed mid-shard, a wedged worker, a
-poisoned (unpicklable) result, a shared-memory segment unlinked under the
-workers — and the resilience layer must absorb it: retry, fall back serial,
-and leave the pool healthy, with rows and charges bit-identical to the
-serial reference (pinned by ``pytest -m resilience``).
-
-Post-hoc corruption of a log file (for checksum-skip coverage) does not need
-an armed plan: :func:`flip_bit` and :func:`truncate_file` edit the file
-directly.
+Post-hoc corruption does not need an armed plan: :func:`flip_bit` and
+:func:`truncate_file` edit a log file directly, :func:`flip_snapshot_bit` a
+checkpoint snapshot and :func:`flip_code_bit` a live in-memory code array.
 
 With no plan armed every hook is a cheap no-op, so the engine code can call
 them unconditionally.
@@ -71,19 +59,6 @@ MATVIEW_CRASH_POINTS: Tuple[str, ...] = (
     "matview.refresh.before_install",
 )
 
-#: The process-fault matrix of the shard-parallel executor, checked via
-#: :func:`process_fault` at the point in the scatter/gather where each fault
-#: would bite.  The resilience suite iterates this list; a registration test
-#: pins the count so new faults cannot land untested.
-PROCESS_FAULTS: Tuple[str, ...] = (
-    "shard.worker.kill",
-    "shard.worker.hang",
-    "shard.result.poison",
-    "shard.shm.unlink_race",
-    "shard.shm.bit_flip",
-)
-
-
 class CrashError(RuntimeError):
     """Raised by an armed fault plan; models the process dying at the point."""
 
@@ -95,17 +70,12 @@ class FaultPlan:
     ``torn_bytes`` only applies when ``crash_at`` names a flush point routed
     through :func:`filter_write` (``wal.flush.after_write``): the flush
     writes just ``torn_bytes`` bytes of its buffer and then crashes.
-
-    By default a plan fires exactly once (its *at_hit*-th hit) — a retried
-    shard attempt therefore succeeds, exercising the retry rung of the
-    degradation ladder.  ``every_hit=True`` makes the plan fire on every hit
-    of *crash_at*, exhausting the retry budget and forcing the serial rung.
+    A plan fires exactly once, at its *at_hit*-th hit.
     """
 
     crash_at: Optional[str] = None
     at_hit: int = 1
     torn_bytes: Optional[int] = None
-    every_hit: bool = False
     #: Every point name hit while this plan was armed (coverage telemetry).
     hits: List[str] = field(default_factory=list)
 
@@ -118,8 +88,6 @@ class FaultPlan:
         self.hits.append(name)
         if name != self.crash_at:
             return False
-        if self.every_hit:
-            return True
         self._countdown -= 1
         return self._countdown == 0
 
@@ -147,17 +115,6 @@ def fault_point(name: str) -> None:
     """Declare a crash point; raises :class:`CrashError` when a plan says so."""
     if _PLAN is not None and _PLAN.should_crash(name):
         raise CrashError(name)
-
-
-def process_fault(name: str) -> bool:
-    """Whether the armed plan wants process fault *name* arranged here.
-
-    Same arming, hit-counting and coverage telemetry as :func:`fault_point`,
-    but the caller — the shard-parallel parent — performs the sabotage
-    itself (kill/wedge a worker, poison a result, unlink a segment) instead
-    of raising.  Returns ``False`` with no plan armed.
-    """
-    return _PLAN is not None and _PLAN.should_crash(name)
 
 
 def filter_write(name: str, data: bytes) -> bytes:

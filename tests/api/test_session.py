@@ -186,3 +186,29 @@ class TestWorkloads:
         legacy = row_database.run_workload(Workload(queries, name="w"))
         assert run.num_queries == 2
         assert run.total_runtime_ms == pytest.approx(legacy.total_runtime_ms)
+
+
+class TestSerialExecution:
+    def test_no_query_starts_a_process_even_below_the_shard_floor(
+        self, database_factory
+    ):
+        """Execution is serial: lowering the shard floor changes nothing."""
+        import multiprocessing
+
+        from repro.engine.shard import shard_config
+
+        session = connect(database=database_factory(Store.COLUMN))
+        queries = [
+            "SELECT sum(quantity), count(*) FROM sales WHERE quantity >= 3 "
+            "GROUP BY region",
+            "SELECT id, status FROM sales WHERE quantity >= 15",
+        ]
+        references = [session.sql(sql) for sql in queries]
+        with shard_config(min_rows=1):
+            results = [session.sql(sql) for sql in queries]
+        assert multiprocessing.active_children() == []
+        for result, reference in zip(results, references):
+            assert result.shard_stats == {}
+            assert result.rows == reference.rows
+            assert result.cost.components == reference.cost.components
+        session.close()

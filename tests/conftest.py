@@ -31,18 +31,13 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "shard: shard-parallel scatter/gather execution suite (runs in "
-        "tier-1; select standalone with -m shard)",
-    )
-    config.addinivalue_line(
-        "markers",
         "matview: materialized-view subsystem suite (runs in tier-1; "
         "select standalone with -m matview)",
     )
     config.addinivalue_line(
         "markers",
-        "resilience: process-fault matrix / supervised-pool / deadline "
-        "suite (runs in tier-1; select standalone with -m resilience)",
+        "resilience: query-deadline and matview refresh-crash suite (runs "
+        "in tier-1; select standalone with -m resilience)",
     )
     config.addinivalue_line(
         "markers",

@@ -17,13 +17,17 @@ from repro.core.advisor.recommendation import StorageLayout
 from repro.core.advisor.table_level import TableLevelAdvisor
 from repro.core.cost_model.estimator import TableProfile
 from repro.engine import HybridDatabase, Store, TablePartitioning, VerticalPartitionSpec
+from repro.engine.schema import Column, TableSchema
+from repro.engine.shard import shard_bounds, shard_config
 from repro.engine.statistics import compute_table_statistics
+from repro.engine.types import DataType
 from repro.errors import AdvisorError
 from repro.query import (
     Workload,
     aggregate,
     between,
     eq,
+    ge,
     insert,
     select,
     update,
@@ -271,3 +275,106 @@ class TestOnlineMonitor:
         monitor.detach()
         row_database.execute(select("sales").where(eq("id", 1)).build())
         assert monitor.state.total_queries == 0
+
+
+# -- shard-key what-if ---------------------------------------------------------------------
+
+SHARD_SCHEMA = TableSchema(
+    "metrics",
+    (
+        Column("id", DataType.INTEGER, primary_key=True),
+        Column("bucket", DataType.VARCHAR),
+        Column("value", DataType.DOUBLE, nullable=True),
+        Column("hits", DataType.INTEGER),
+    ),
+)
+
+
+def make_metrics_rows(num_rows):
+    return [
+        {
+            "id": i,
+            "bucket": f"b{i % 5}",
+            "value": None if i % 11 == 0 else round((i % 97) * 0.5, 2),
+            "hits": i % 13,
+        }
+        for i in range(num_rows)
+    ]
+
+
+def build_metrics_database(num_rows):
+    database = HybridDatabase()
+    database.create_table(SHARD_SCHEMA, store=Store.COLUMN)
+    database.load_rows("metrics", make_metrics_rows(num_rows))
+    return database
+
+
+def grouped_metrics_query():
+    return (
+        aggregate("metrics")
+        .sum("value").count().min("hits")
+        .group_by("bucket")
+        .where(ge("hits", 3))
+        .build()
+    )
+
+
+def test_shard_bounds_cover_and_balance():
+    for num_rows, fan_out in ((10, 4), (4_001, 4), (7, 7), (3, 2)):
+        bounds = shard_bounds(num_rows, fan_out)
+        assert len(bounds) == fan_out
+        assert bounds[0][0] == 0 and bounds[-1][1] == num_rows
+        sizes = [stop - start for start, stop in bounds]
+        assert sum(sizes) == num_rows
+        assert max(sizes) - min(sizes) <= 1
+        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+            assert stop == start
+
+
+class TestShardAdvisor:
+    def test_recommends_group_aligned_key_via_memo(self):
+        database = build_metrics_database(60_000)
+        advisor = StorageAdvisor()
+        workload = Workload(
+            [grouped_metrics_query()] * 10
+            + [select("metrics").where(ge("hits", 10)).build()] * 5,
+            name="shardable",
+        )
+        with shard_config(min_rows=1):
+            recommendations = advisor.recommend_shard_keys(database, workload)
+            assert set(recommendations) == {"metrics"}
+            recommendation = recommendations["metrics"]
+            assert recommendation.shard_key == "bucket"
+            assert recommendation.fan_out == 4
+            assert recommendation.estimated_speedup > 1.0
+            assert "shard by bucket x4" in recommendation.describe()
+            # The what-if plan renders through the EXPLAIN renderer.
+            assert recommendation.whatif_plan is not None
+            text = recommendation.explain()
+            assert "AggregationQuery" in text
+            assert "Scan metrics" in text
+            # Re-advising is served from the EstimateMemo.
+            hits_before = advisor.cost_model.cache_hits
+            again = advisor.recommend_shard_keys(database, workload)
+        assert advisor.cost_model.cache_hits > hits_before
+        assert again["metrics"].shard_key == "bucket"
+        assert again["metrics"].estimated_sharded_ms == pytest.approx(
+            recommendation.estimated_sharded_ms
+        )
+
+    def test_declines_when_dispatch_eats_the_gain(self):
+        database = build_metrics_database(300)
+        advisor = StorageAdvisor()
+        workload = Workload([grouped_metrics_query()], name="tiny")
+        with shard_config(min_rows=1):
+            assert advisor.recommend_shard_keys(database, workload) == {}
+
+    def test_session_wrapper_respects_row_floor(self):
+        from repro.api import connect
+
+        session = connect()
+        session.create_table(SHARD_SCHEMA, Store.COLUMN)
+        session.load_rows("metrics", make_metrics_rows(2_000))
+        # Default 200k floor: the table is never shard-eligible.
+        assert session.recommend_shard_keys(Workload([grouped_metrics_query()])) == {}
+        session.close()

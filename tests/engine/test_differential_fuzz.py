@@ -548,73 +548,6 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
         assert fast.cost.components == slow.cost.components, context
 
 
-@pytest.mark.shard
-@pytest.mark.parametrize("seed", range(2))
-def test_shard_toggle_preserves_results_and_charges(seed):
-    """Shard differential: scatter/gather results == serial results, in full.
-
-    Every read query runs twice against the same databases — once with
-    shard-parallel execution enabled (the floor dropped so the fuzz tables
-    shard) and once under ``shard_execution_disabled()`` — and both the row
-    multisets and the :class:`CostBreakdown` components must agree on every
-    layout: sharding is a wall-clock optimisation, never a cost-model or
-    semantics change.  DML pushes the column layout through the
-    delta-blocks-sharding window (the decision refuses until the merge);
-    merging re-arms it, and the suite asserts the sharded path *really*
-    executed — ``shard_stats`` non-empty — often enough that a silent
-    permanent fallback cannot pass.
-    """
-    from repro.engine.shard import (
-        shard_config,
-        shard_execution_disabled,
-        shutdown_worker_pool,
-    )
-
-    rng = random.Random(4000 + seed)
-    rows = generate_rows(rng, rng.randrange(40, 200))
-    layouts = build_layouts(rng, rows, generate_dim_rows())
-    next_id = len(rows)
-    sharded_runs = 0
-
-    try:
-        with shard_config(fan_out=3, min_rows=1):
-            for step in range(24):
-                if step and step % 6 == 0:
-                    statement, next_id = random_dml(rng, next_id)
-                    for database in layouts.values():
-                        database.execute(statement)
-                    # Column-store DML lands in the delta, which blocks
-                    # sharding by design; merge to re-arm the sharded path.
-                    layouts["column"].merge_deltas()
-                    continue
-                query = (
-                    random_select(rng) if rng.random() < 0.4
-                    else random_aggregation(rng)
-                )
-                for label, database in layouts.items():
-                    sharded = database.execute(query)
-                    with shard_execution_disabled():
-                        reference = database.execute(query)
-                    context = (
-                        f"seed={seed} step={step} [{label}] shard-vs-serial "
-                        f"query={query!r}"
-                    )
-                    assert_rows_equivalent(context, sharded.rows, reference.rows)
-                    assert sharded.cost.components == reference.cost.components, context
-                    assert not reference.shard_stats, context
-                    if sharded.shard_stats:
-                        # Only the plain column layout is shard-eligible.
-                        assert label == "column", context
-                        sharded_runs += 1
-    finally:
-        shutdown_worker_pool()
-
-    assert sharded_runs >= 4, (
-        f"seed={seed}: only {sharded_runs} sharded executions — the "
-        f"scatter/gather path is silently falling back"
-    )
-
-
 @pytest.mark.matview
 @pytest.mark.parametrize("seed", range(2))
 def test_matview_toggle_preserves_results_and_charges(seed):

@@ -19,13 +19,6 @@ The contracts pinned here:
   quarantined units from the log (snapshot + replay) and restores rows
   *and* :class:`CostBreakdown` charges bit-identical to the uncorrupted
   reference.  Without a WAL, repair refuses with a typed error.
-* **Shared-memory corruption** — a bit flipped in a published shard segment
-  is caught by the worker-side checksum before execution and absorbed by
-  the resilience ladder: a one-shot flip heals on retry (still sharded), a
-  persistent flip degrades to serial — both bit-identical to the serial
-  reference, with zero stray charges.  (The full one-shot/persistent matrix
-  also runs for ``shard.shm.bit_flip`` via the parametrized resilience
-  suite.)
 * **Telemetry** — verification shows up in ``EXPLAIN ANALYZE`` and
   ``SessionStats`` but charges zero simulated cost.
 """
@@ -42,24 +35,15 @@ from repro.engine.integrity import (
     integrity_counters,
     integrity_disabled,
 )
-from repro.engine.database import HybridDatabase
 from repro.engine.partitioning import (
     HorizontalPartitionSpec,
     TablePartitioning,
     VerticalPartitionSpec,
 )
 from repro.engine.schema import Column, TableSchema
-from repro.engine.shard import (
-    audit_shared_segments,
-    resilience_counters,
-    shard_config,
-    shard_execution_disabled,
-    shutdown_worker_pool,
-)
 from repro.engine.types import DataType, Store
 from repro.engine.wal import _read_snapshot
 from repro.errors import DataCorruptionError, SnapshotCorruptError, WalError
-from repro.query.builder import aggregate, select
 from repro.query.predicates import ge
 from repro.testing.faults import (
     SNAPSHOT_REGIONS,
@@ -400,60 +384,6 @@ def test_repair_with_nothing_quarantined_is_a_noop(tmp_path):
     session = open_session(tmp_path)
     assert session.repair() == 0
     session.close()
-
-
-# -- shared-memory corruption (shard workers) ------------------------------------------
-
-SHARD_FAST = dict(min_rows=1, gather_timeout_s=0.8, backoff_s=0.005)
-
-
-@pytest.fixture
-def _pool_cleanup():
-    yield
-    shutdown_worker_pool()
-    audit_shared_segments()
-
-
-def build_shard_database():
-    database = HybridDatabase()
-    database.create_table(SCHEMA, store=Store.COLUMN)
-    database.load_rows("ledger", make_rows(2_000))
-    return database
-
-
-def test_shm_flip_caught_by_checksum_and_healed_by_retry(_pool_cleanup):
-    database = build_shard_database()
-    query = (
-        aggregate("ledger").sum("amount").count()
-        .group_by("account").where(ge("amount", 10)).build()
-    )
-    with shard_execution_disabled():
-        reference = database.execute(query)
-    counters = resilience_counters().snapshot()
-    with shard_config(**SHARD_FAST):
-        with inject(FaultPlan(crash_at="shard.shm.bit_flip")):
-            result = database.execute(query)
-    assert sorted(map(repr, result.rows)) == sorted(map(repr, reference.rows))
-    assert result.cost.components == reference.cost.components
-    assert result.shard_stats["ledger"][0] == 4  # healed, still sharded
-    assert not result.degradations
-    assert resilience_counters().shard_retries == counters.shard_retries + 1
-
-
-def test_persistent_shm_flip_degrades_via_checksum_mismatch(_pool_cleanup):
-    database = build_shard_database()
-    query = select("ledger").columns("id", "account").where(ge("amount", 50)).build()
-    with shard_execution_disabled():
-        reference = database.execute(query)
-    with shard_config(**SHARD_FAST):
-        with inject(FaultPlan(crash_at="shard.shm.bit_flip", every_hit=True)):
-            result = database.execute(query)
-    assert sorted(map(repr, result.rows)) == sorted(map(repr, reference.rows))
-    # Zero stray charges: the failed sharded attempts bill nothing.
-    assert result.cost.components == reference.cost.components
-    ladder = result.degradations["ledger"]
-    assert ladder.startswith("shard-parallel -> retry x1 -> serial")
-    assert "checksum mismatch" in ladder
 
 
 # -- telemetry -------------------------------------------------------------------------

@@ -1,58 +1,30 @@
-"""Resilient execution layer: process-fault matrix, supervision, deadlines.
+"""Query deadlines and matview refresh atomicity.
 
-The resilience fuzzer and its satellites.  The contracts pinned here:
+The contracts pinned here:
 
-* **Process-fault matrix** — for every fault in
-  :data:`repro.testing.faults.PROCESS_FAULTS` (worker killed mid-shard,
-  wedged worker, poisoned/unpicklable result, shared-memory unlink race,
-  shared-memory bit flip caught by the integrity checksums), a
-  one-shot fault is healed by the retry rung (the query still executes
-  sharded) and an ``every_hit`` fault exhausts the budget and degrades to
-  serial — in both cases with rows and charges **bit-identical** to the
-  ``shard_execution_disabled()`` reference, a visible degradation record,
-  and a self-healed pool.
-* **Supervision** — a dead worker is replaced individually (the pool object
-  survives), replacements are counted, and a mid-query worker kill leaks no
-  shared-memory segment (the close/atexit ledger audit stays clean).
-* **Deadlines** — ``Session.execute(timeout=...)`` cancels even a wedged
-  sharded query within ~2x the deadline, raises ``QueryTimeoutError``,
-  records no execution and leaves the pool healthy.
+* **Deadlines** — ``Session.execute(timeout=...)`` cancels a query whose
+  deadline expired, raises ``QueryTimeoutError`` and records no execution.
 * **Matview refresh atomicity** — a crash at any declared
   ``matview.refresh.*`` point never installs a partial merge: the next
   serve returns rows identical to the ``matview_disabled()`` reference.
-* **Registration** — the declared crash-point/process-fault counts are
-  pinned so new faults cannot land without landing here too.
+* **Registration** — the declared crash-point counts are pinned so new
+  crash points cannot land without landing here too.
 """
-
-import time
 
 import pytest
 
-from repro.config import ResilienceConfig
-from repro.engine import shard as shard_module
-from repro.engine.database import HybridDatabase
 from repro.engine.matview import matview_disabled
 from repro.engine.schema import Column, TableSchema
-from repro.engine.shard import (
-    audit_shared_segments,
-    gather_timeout_for,
-    get_worker_pool,
-    resilience_counters,
-    shard_config,
-    shard_execution_disabled,
-    shutdown_worker_pool,
-)
 from repro.errors import QueryTimeoutError
 from repro.testing.faults import (
     CRASH_POINTS,
     MATVIEW_CRASH_POINTS,
-    PROCESS_FAULTS,
     CrashError,
     FaultPlan,
     inject,
 )
 from repro.engine.types import DataType, Store
-from repro.query.builder import aggregate, insert, select
+from repro.query.builder import aggregate, insert
 from repro.query.predicates import ge
 
 pytestmark = pytest.mark.resilience
@@ -69,11 +41,6 @@ SCHEMA = TableSchema(
 
 NUM_ROWS = 2_000
 
-#: Fast-failure knobs for the fault matrix: wedges time out in fractions of
-#: a second and retries back off in milliseconds, so the whole matrix runs
-#: in seconds while exercising exactly the production code paths.
-FAST = dict(min_rows=1, gather_timeout_s=0.8, backoff_s=0.005)
-
 
 def make_rows(num_rows, offset=0):
     """NULL-bearing (never NaN) rows, so partial merges stay provably safe."""
@@ -88,13 +55,6 @@ def make_rows(num_rows, offset=0):
     ]
 
 
-def build_database(num_rows=NUM_ROWS):
-    database = HybridDatabase()
-    database.create_table(SCHEMA, store=Store.COLUMN)
-    database.load_rows("metrics", make_rows(num_rows))
-    return database
-
-
 def grouped_query():
     return (
         aggregate("metrics")
@@ -105,183 +65,12 @@ def grouped_query():
     )
 
 
-def filtered_select():
-    return select("metrics").columns("id", "bucket").where(ge("hits", 5)).build()
-
-
 def rows_key(row):
     return sorted((key, repr(value)) for key, value in row.items())
 
 
 def assert_same_rows(left, right):
     assert sorted(left, key=rows_key) == sorted(right, key=rows_key)
-
-
-@pytest.fixture(autouse=True)
-def _pool_cleanup():
-    yield
-    shutdown_worker_pool()
-    audit_shared_segments()
-
-
-# -- the process-fault matrix ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("fault", PROCESS_FAULTS)
-@pytest.mark.parametrize("query_factory", [grouped_query, filtered_select],
-                         ids=["aggregate", "select"])
-def test_one_shot_fault_heals_by_retry(fault, query_factory):
-    """A single fault is absorbed by the retry rung: still sharded, identical."""
-    database = build_database()
-    query = query_factory()
-    with shard_execution_disabled():
-        reference = database.execute(query)
-    counters = resilience_counters().snapshot()
-    with shard_config(**FAST):
-        with inject(FaultPlan(crash_at=fault)):
-            result = database.execute(query)
-    assert_same_rows(result.rows, reference.rows)
-    assert result.cost.components == reference.cost.components
-    # The retry re-ran the scatter — the query really executed sharded.
-    assert result.shard_stats["metrics"][0] == 4
-    assert not result.degradations
-    live = resilience_counters()
-    assert live.shard_retries == counters.shard_retries + 1
-    assert live.shard_degradations == counters.shard_degradations
-    # The pool healed in place: alive, and the next query runs sharded too.
-    pool = shard_module._POOL
-    assert pool is not None and pool.alive()
-    with shard_config(**FAST):
-        again = database.execute(query)
-    assert again.shard_stats and shard_module._POOL is pool
-
-
-@pytest.mark.parametrize("fault", PROCESS_FAULTS)
-def test_persistent_fault_degrades_to_serial(fault):
-    """An every-hit fault exhausts the budget: serial rows, serial charges."""
-    database = build_database()
-    query = grouped_query()
-    with shard_execution_disabled():
-        reference = database.execute(query)
-    counters = resilience_counters().snapshot()
-    with shard_config(**FAST):
-        with inject(FaultPlan(crash_at=fault, every_hit=True)):
-            result = database.execute(query)
-    assert_same_rows(result.rows, reference.rows)
-    # The serial fallback bills exactly the serial reference — the failed
-    # sharded attempts left no partial charges behind.
-    assert result.cost.components == reference.cost.components
-    assert not result.shard_stats
-    ladder = result.degradations["metrics"]
-    assert ladder.startswith("shard-parallel -> retry x1 -> serial")
-    live = resilience_counters()
-    assert live.shard_degradations == counters.shard_degradations + 1
-    assert live.shard_retries == counters.shard_retries + 1
-    # Self-healed: with the fault gone the same pool shards again.
-    pool = shard_module._POOL
-    assert pool is not None and pool.alive()
-    with shard_config(**FAST):
-        healthy = database.execute(query)
-    assert healthy.shard_stats["metrics"][0] == 4
-    assert healthy.cost.components == reference.cost.components
-
-
-def test_fault_matrix_points_are_all_consulted():
-    """One sharded query consults every declared process fault."""
-    database = build_database()
-    plan = FaultPlan(crash_at=None)  # record hits, never fire
-    with shard_config(min_rows=1):
-        with inject(plan):
-            database.execute(grouped_query())
-    assert set(PROCESS_FAULTS) <= set(plan.hits)
-
-
-# -- supervision and the segment ledger ------------------------------------------------
-
-
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_worker_replacement_is_individual(start_method):
-    """A killed worker is replaced in place; the pool object survives."""
-    database = build_database()
-    # A generous gather timeout: killed workers are detected by the liveness
-    # poll (not the timeout), and spawn replacements can take a while to boot.
-    with shard_config(min_rows=1, gather_timeout_s=15.0, backoff_s=0.005):
-        shutdown_worker_pool()
-        pool = get_worker_pool(start_method)
-        before = resilience_counters().worker_replacements
-        pids = pool.worker_pids()
-        with inject(FaultPlan(crash_at="shard.worker.kill")):
-            result = database.execute(grouped_query())
-    assert result.shard_stats
-    assert shard_module._POOL is pool  # never torn down wholesale
-    assert pool.alive()
-    assert resilience_counters().worker_replacements == before + 1
-    # Exactly one crew member changed.
-    replaced = sum(1 for old, new in zip(pids, pool.worker_pids()) if old != new)
-    assert replaced == 1
-
-
-def test_mid_query_worker_kill_leaks_no_segments():
-    """The segment ledger audits clean after a kill + pool shutdown."""
-    database = build_database()
-    with shard_config(**FAST):
-        with inject(FaultPlan(crash_at="shard.worker.kill")):
-            database.execute(grouped_query())
-    shutdown_worker_pool()
-    leaked, doubled = audit_shared_segments()
-    assert leaked == [] and doubled == []
-    assert shard_module._SEGMENT_LEDGER == {}
-
-
-def test_audit_reports_and_reclaims():
-    """The audit flags ledger anomalies (and never raises)."""
-    shard_module._SEGMENT_LEDGER["repro-bogus-leak"] = 0
-    shard_module._SEGMENT_LEDGER["repro-bogus-double"] = 2
-    leaked, doubled = audit_shared_segments()
-    assert leaked == ["repro-bogus-leak"]
-    assert doubled == ["repro-bogus-double"]
-    assert shard_module._SEGMENT_LEDGER == {}
-
-
-def test_teardown_distinguishes_races_from_real_errors():
-    """Expected shutdown races stay silent; real errors are counted."""
-    before = resilience_counters().teardown_errors
-    shard_module._teardown("race", lambda: (_ for _ in ()).throw(ValueError()))
-    assert resilience_counters().teardown_errors == before
-    shard_module._teardown("real", lambda: (_ for _ in ()).throw(RuntimeError()))
-    assert resilience_counters().teardown_errors == before + 1
-
-
-def test_backoff_is_bounded_and_positive():
-    for attempt in range(1, 12):
-        delay = shard_module._backoff_delay(attempt)
-        assert 0.0 < delay <= shard_module._RETRY_BACKOFF_CAP_S
-
-
-def test_gather_timeout_scales_with_rows():
-    assert gather_timeout_for(0) == shard_module._GATHER_TIMEOUT_S
-    assert gather_timeout_for(500_000) == shard_module._GATHER_TIMEOUT_S
-    assert gather_timeout_for(2_000_000) == pytest.approx(
-        2.0 * shard_module._GATHER_TIMEOUT_S
-    )
-    with shard_config(gather_timeout_s=10.0):
-        assert gather_timeout_for(3_000_000) == pytest.approx(30.0)
-
-
-def test_resilience_config_applies_and_restores():
-    from repro.api import connect
-
-    defaults = ResilienceConfig()
-    try:
-        session = connect(resilience=ResilienceConfig(
-            max_attempts=3, gather_timeout_s=5.0, backoff_s=0.01,
-        ))
-        assert shard_module._SHARD_MAX_ATTEMPTS == 3
-        assert shard_module._GATHER_TIMEOUT_S == 5.0
-        session.close()
-    finally:
-        shard_module.apply_resilience_config(defaults)
-    assert shard_module._SHARD_MAX_ATTEMPTS == defaults.max_attempts
 
 
 # -- deadlines and cancellation --------------------------------------------------------
@@ -294,37 +83,6 @@ def _session_with_data(num_rows=NUM_ROWS):
     session.create_table(SCHEMA, Store.COLUMN)
     session.load_rows("metrics", make_rows(num_rows))
     return session
-
-
-def test_timeout_cancels_wedged_shard_query():
-    """A wedged worker is abandoned within ~2x the deadline; nothing billed."""
-    session = _session_with_data()
-    query = grouped_query()
-    with shard_config(min_rows=1, gather_timeout_s=30.0):
-        session.execute(query)  # warm plan + pool outside the deadline
-        executed_before = session.stats().queries_executed
-        started = time.monotonic()
-        with inject(FaultPlan(crash_at="shard.worker.hang", every_hit=True)):
-            with pytest.raises(QueryTimeoutError) as excinfo:
-                session.execute(query, timeout=0.5)
-        elapsed = time.monotonic() - started
-    assert elapsed < 1.0  # within ~2x the 0.5s deadline
-    assert excinfo.value.timeout_s == 0.5
-    stats = session.stats()
-    assert stats.query_timeouts == 1
-    # Nothing billed, nothing recorded: the cancelled execution never
-    # produced a QueryResult.
-    assert stats.queries_executed == executed_before
-    assert stats.shard_worker_replacements >= 1
-    # The pool is healthy: the same query (no fault) shards bit-identically.
-    with shard_execution_disabled():
-        reference = session.execute(query)
-    with shard_config(min_rows=1):
-        healthy = session.execute(query)
-    assert_same_rows(healthy.rows, reference.rows)
-    assert healthy.cost.components == reference.cost.components
-    assert healthy.shard_stats
-    session.close()
 
 
 def test_zero_timeout_cancels_serial_queries_too():
@@ -395,47 +153,13 @@ def test_matview_workload_reaches_every_declared_crash_point():
     session.close()
 
 
-# -- EXPLAIN surface and registration --------------------------------------------------
-
-
-def test_explain_analyze_renders_ladder_and_degradation():
-    session = _session_with_data(800)
-    with shard_config(**FAST):
-        healthy = session.explain(grouped_query(), analyze=True)
-        assert "ladder: shard-parallel -> retry x1 -> serial -> error" in healthy
-        assert "degraded:" not in healthy
-        with inject(FaultPlan(crash_at="shard.result.poison", every_hit=True)):
-            degraded = session.explain(grouped_query(), analyze=True)
-    assert "degraded:" in degraded
-    assert "shard-parallel -> retry x1 -> serial" in degraded
-    assert "shard execution (scanned/matched):" not in degraded
-    session.close()
-
-
-def test_session_stats_report_resilience_deltas():
-    session = _session_with_data()
-    with shard_config(**FAST):
-        with inject(FaultPlan(crash_at="shard.worker.kill", every_hit=True)):
-            session.execute(grouped_query())
-    stats = session.stats()
-    assert stats.shard_retries >= 1
-    assert stats.shard_worker_replacements >= 1
-    assert stats.shard_degradations == 1
-    # A later session starts its deltas from zero.
-    from repro.api import connect
-
-    fresh = connect()
-    assert fresh.stats().shard_degradations == 0
-    fresh.close()
-    session.close()
+# -- registration ---------------------------------------------------------------------
 
 
 def test_declared_fault_registrations_are_pinned():
-    """New crash points / process faults must land with their coverage."""
+    """New crash points must land with their coverage."""
     assert len(CRASH_POINTS) == 13
     assert len(MATVIEW_CRASH_POINTS) == 3
-    assert len(PROCESS_FAULTS) == 5
-    everything = CRASH_POINTS + MATVIEW_CRASH_POINTS + PROCESS_FAULTS
+    everything = CRASH_POINTS + MATVIEW_CRASH_POINTS
     assert len(set(everything)) == len(everything)
     assert all(point.startswith("matview.") for point in MATVIEW_CRASH_POINTS)
-    assert all(fault.startswith("shard.") for fault in PROCESS_FAULTS)
