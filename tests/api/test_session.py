@@ -212,3 +212,34 @@ class TestSerialExecution:
             assert result.rows == reference.rows
             assert result.cost.components == reference.cost.components
         session.close()
+
+    def test_explain_analyze_shows_no_shard_lines(self, database_factory):
+        from repro.engine.shard import shard_config
+
+        session = connect(database=database_factory(Store.COLUMN))
+        with shard_config(min_rows=1):
+            text = session.explain(
+                "SELECT sum(quantity), count(*) FROM sales WHERE quantity >= 3 "
+                "GROUP BY region",
+                analyze=True,
+            )
+        assert "Scan sales" in text
+        for removed in ("shards:", "ladder:", "degraded:", "shard execution"):
+            assert removed not in text
+        session.close()
+
+    def test_names_the_session_benchmark_reaches_are_inert(self, database_factory):
+        """``sessionbench/`` still calls or traces these; they do nothing."""
+        from repro.engine.executor import operators
+        from repro.engine.executor.access import AccessPath
+        from repro.engine.shard import audit_shared_segments, shutdown_worker_pool
+
+        session = connect(database=database_factory(Store.COLUMN))
+        session.sql("SELECT count(*) FROM sales WHERE quantity >= 3")
+        assert session.stats().shard_degradations == 0
+        assert shutdown_worker_pool() is None
+        assert audit_shared_segments() == ([], [])
+        assert callable(AccessPath.plan_shards)
+        assert operators.try_sharded_aggregation() is None
+        assert operators.try_sharded_select() is None
+        session.close()

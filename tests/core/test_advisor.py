@@ -18,7 +18,7 @@ from repro.core.advisor.table_level import TableLevelAdvisor
 from repro.core.cost_model.estimator import TableProfile
 from repro.engine import HybridDatabase, Store, TablePartitioning, VerticalPartitionSpec
 from repro.engine.schema import Column, TableSchema
-from repro.engine.shard import shard_bounds, shard_config
+from repro.engine.shard import shard_bounds, shard_config, shard_fan_out, shard_min_rows
 from repro.engine.statistics import compute_table_statistics
 from repro.engine.types import DataType
 from repro.errors import AdvisorError
@@ -378,3 +378,138 @@ class TestShardAdvisor:
         # Default 200k floor: the table is never shard-eligible.
         assert session.recommend_shard_keys(Workload([grouped_metrics_query()])) == {}
         session.close()
+
+    # -- what-if knobs and eligibility ---------------------------------------------------
+
+    WHATIF_ROWS = 20_000
+
+    def shardable_workload(self):
+        return Workload(
+            [grouped_metrics_query()] * 10
+            + [select("metrics").where(ge("hits", 10)).build()] * 5,
+            name="shardable",
+        )
+
+    def test_fan_out_comes_from_shard_config(self):
+        database = build_metrics_database(self.WHATIF_ROWS)
+        advisor = StorageAdvisor()
+        with shard_config(min_rows=1, fan_out=2):
+            two = advisor.recommend_shard_keys(database, self.shardable_workload())
+        with shard_config(min_rows=1):
+            four = advisor.recommend_shard_keys(database, self.shardable_workload())
+        assert two["metrics"].fan_out == 2
+        assert four["metrics"].fan_out == 4
+        # The same serial estimate, a smaller crew: less of it is divided.
+        assert two["metrics"].estimated_serial_ms == pytest.approx(
+            four["metrics"].estimated_serial_ms
+        )
+        assert (
+            four["metrics"].estimated_sharded_ms
+            < two["metrics"].estimated_sharded_ms
+            < two["metrics"].estimated_serial_ms
+        )
+
+    def test_explicit_fan_out_overrides_the_config_default(self):
+        database = build_metrics_database(self.WHATIF_ROWS)
+        with shard_config(min_rows=1, fan_out=2):
+            recommendations = StorageAdvisor().recommend_shard_keys(
+                database, self.shardable_workload(), fan_out=3
+            )
+        assert recommendations["metrics"].fan_out == 3
+        assert "shard by bucket x3" in recommendations["metrics"].describe()
+
+    def test_row_floor_is_inclusive(self):
+        database = build_metrics_database(self.WHATIF_ROWS)
+        advisor = StorageAdvisor()
+        with shard_config(min_rows=self.WHATIF_ROWS):
+            assert set(
+                advisor.recommend_shard_keys(database, self.shardable_workload())
+            ) == {"metrics"}
+        with shard_config(min_rows=self.WHATIF_ROWS + 1):
+            assert advisor.recommend_shard_keys(
+                database, self.shardable_workload()
+            ) == {}
+
+    def test_row_store_assignment_is_never_sharded(self):
+        database = build_metrics_database(self.WHATIF_ROWS)
+        with shard_config(min_rows=1):
+            recommendations = StorageAdvisor().recommend_shard_keys(
+                database, self.shardable_workload(),
+                assignment={"metrics": Store.ROW},
+            )
+        assert recommendations == {}
+
+    def test_unfiltered_selects_and_joins_are_not_shardable(self):
+        database = build_metrics_database(self.WHATIF_ROWS)
+        workload = Workload(
+            [select("metrics").build()] * 5
+            + [aggregate("metrics").count().join("other", "id", "id").build()] * 5,
+            name="unshardable",
+        )
+        with shard_config(min_rows=1):
+            assert StorageAdvisor().recommend_shard_keys(database, workload) == {}
+
+    def test_dispatch_overhead_decides(self):
+        from repro.config import DeviceModelConfig
+
+        database = build_metrics_database(self.WHATIF_ROWS)
+        costly = DeviceModelConfig(shard_dispatch_ns=1e9)
+        with shard_config(min_rows=1):
+            assert StorageAdvisor().recommend_shard_keys(
+                database, self.shardable_workload()
+            )
+            assert StorageAdvisor(device_config=costly).recommend_shard_keys(
+                database, self.shardable_workload()
+            ) == {}
+
+    def test_empty_workload_rejected(self):
+        database = build_metrics_database(100)
+        with pytest.raises(AdvisorError):
+            StorageAdvisor().recommend_shard_keys(database, Workload([]))
+
+
+@pytest.mark.parametrize(
+    "num_rows, fan_out",
+    [(0, 4), (1, 4), (3, 2), (5, 1), (7, 7), (10, 4), (4_001, 4)],
+)
+def test_shard_bounds_edge_cases(num_rows, fan_out):
+    bounds = shard_bounds(num_rows, fan_out)
+    assert len(bounds) == fan_out
+    assert bounds[0][0] == 0 and bounds[-1][1] == num_rows
+    sizes = [stop - start for start, stop in bounds]
+    assert min(sizes) >= 0 and sum(sizes) == num_rows
+    assert max(sizes) - min(sizes) <= 1
+    # Larger ranges come first, so a remainder never lands on the last shard.
+    assert sizes == sorted(sizes, reverse=True)
+    for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+        assert stop == start
+
+
+class TestShardConfig:
+    def test_defaults(self):
+        assert shard_fan_out() == 4
+        assert shard_min_rows() == 200_000
+
+    def test_overrides_are_scoped(self):
+        with shard_config(fan_out=2, min_rows=10):
+            assert (shard_fan_out(), shard_min_rows()) == (2, 10)
+        assert (shard_fan_out(), shard_min_rows()) == (4, 200_000)
+
+    def test_partial_override_keeps_the_other_setting(self):
+        with shard_config(min_rows=10):
+            assert (shard_fan_out(), shard_min_rows()) == (4, 10)
+        with shard_config(fan_out=8):
+            assert (shard_fan_out(), shard_min_rows()) == (8, 200_000)
+
+    def test_nested_overrides_unwind_in_order(self):
+        with shard_config(fan_out=2):
+            with shard_config(fan_out=3, min_rows=5):
+                assert (shard_fan_out(), shard_min_rows()) == (3, 5)
+            assert (shard_fan_out(), shard_min_rows()) == (2, 200_000)
+        assert shard_fan_out() == 4
+
+    def test_restored_when_the_body_raises(self):
+        with pytest.raises(RuntimeError):
+            with shard_config(fan_out=2, min_rows=1):
+                raise RuntimeError("boom")
+        assert (shard_fan_out(), shard_min_rows()) == (4, 200_000)

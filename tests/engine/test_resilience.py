@@ -13,6 +13,7 @@ The contracts pinned here:
 
 import pytest
 
+from repro.engine.deadline import deadline_check, query_deadline
 from repro.engine.matview import matview_disabled
 from repro.engine.schema import Column, TableSchema
 from repro.errors import QueryTimeoutError
@@ -24,7 +25,7 @@ from repro.testing.faults import (
     inject,
 )
 from repro.engine.types import DataType, Store
-from repro.query.builder import aggregate, insert
+from repro.query.builder import aggregate, insert, select
 from repro.query.predicates import ge
 
 pytestmark = pytest.mark.resilience
@@ -101,6 +102,63 @@ def test_prepared_statement_timeout_passthrough():
     with pytest.raises(QueryTimeoutError):
         prepared.execute(timeout=0.0)
     session.close()
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT id, bucket FROM metrics WHERE hits >= 3",
+        "SELECT bucket, sum(value) FROM metrics GROUP BY bucket",
+        "UPDATE metrics SET hits = 99 WHERE id = 3",
+        "DELETE FROM metrics WHERE hits = 4",
+        "INSERT INTO metrics (id, bucket, value, hits) VALUES (9001, 'b9', 1.5, 2)",
+    ],
+    ids=["select", "aggregate", "update", "delete", "insert"],
+)
+def test_expired_deadline_changes_nothing(sql):
+    session = _session_with_data(200)
+    before = session.execute(select("metrics").build()).rows
+    executed = session.stats().queries_executed
+    with pytest.raises(QueryTimeoutError) as raised:
+        session.sql(sql, timeout=0.0)
+    assert raised.value.timeout_s == 0.0
+    stats = session.stats()
+    assert stats.query_timeouts == 1
+    assert stats.queries_executed == executed
+    # A cancelled statement, DML included, leaves the table as it was.
+    assert session.execute(select("metrics").build()).rows == before
+    session.close()
+
+
+def test_generous_deadline_bills_like_no_deadline():
+    session = _session_with_data(200)
+    reference = session.execute(grouped_query())
+    result = session.execute(grouped_query(), timeout=60.0)
+    assert_same_rows(result.rows, reference.rows)
+    assert result.cost.components == reference.cost.components
+    assert session.stats().query_timeouts == 0
+    session.close()
+
+
+def test_no_deadline_is_a_noop():
+    with query_deadline(None):
+        deadline_check()
+
+
+def test_nested_deadline_only_tightens():
+    with query_deadline(0.0):
+        # A longer inner deadline cannot extend the expired outer one.
+        with query_deadline(60.0):
+            with pytest.raises(QueryTimeoutError) as raised:
+                deadline_check()
+            assert raised.value.timeout_s == 0.0
+    with query_deadline(60.0):
+        with query_deadline(0.0):
+            with pytest.raises(QueryTimeoutError):
+                deadline_check()
+        # Leaving the inner scope restores the outer, unexpired deadline.
+        deadline_check()
+    deadline_check()
 
 
 # -- matview refresh atomicity ---------------------------------------------------------
