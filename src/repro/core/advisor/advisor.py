@@ -40,7 +40,7 @@ from repro.core.cost_model.model import CostModel
 from repro.engine.database import HybridDatabase
 from repro.engine.matview import view_serve_bytes
 from repro.engine.schema import TableSchema
-from repro.engine.shard import shard_fan_out, shard_min_rows
+from repro.engine.shard import shard_min_rows
 from repro.engine.statistics import TableStatistics
 from repro.engine.timing import CostBreakdown, DeviceModel
 from repro.engine.types import Store
@@ -199,6 +199,8 @@ class StorageAdvisor:
     ) -> Dict[str, ShardKeyRecommendation]:
         """Recommend a shard key (and fan-out) per shard-eligible table.
 
+        *fan_out* defaults to 4.
+
         The what-if reuses the store decision's machinery: each candidate
         key reprices the workload's :func:`query_contributions` with the
         crew-divisible terms scaled by ``1/fan_out`` — ``group_rows``
@@ -214,7 +216,7 @@ class StorageAdvisor:
         """
         if len(workload) == 0:
             raise AdvisorError("cannot recommend shard keys for an empty workload")
-        fan_out = fan_out or shard_fan_out()
+        fan_out = fan_out or 4
         database.refresh_statistics()
         profiles = self.cost_model.profiles_from_catalog(database.catalog)
         stores = dict(assignment or {})

@@ -3,10 +3,10 @@
 Execution is serial: no query is ever split across workers.  What remains of
 sharding is an advisor feature —
 :meth:`~repro.core.advisor.advisor.StorageAdvisor.recommend_shard_keys`
-prices each column-store table of a workload as if it were scattered into
-``fan_out`` contiguous row ranges (:func:`shard_bounds`), using the device's
-per-shard dispatch overhead, and recommends a shard key where that estimate
-beats serial.  :func:`shard_config` scopes the what-if's defaults.
+prices each column-store table of a workload as if its crew-divisible cost
+terms were split ``fan_out`` ways, adds the device's per-shard dispatch
+overhead, and recommends a shard key where that estimate beats serial.
+:func:`shard_config` scopes the what-if's row floor.
 """
 
 from __future__ import annotations
@@ -18,20 +18,12 @@ __all__ = [
     "audit_shared_segments",
     "shard_bounds",
     "shard_config",
-    "shard_fan_out",
     "shard_min_rows",
     "shutdown_worker_pool",
 ]
 
-#: Default fan-out the what-if prices.
-_SHARD_FAN_OUT = 4
-
 #: Tables below this row count are never recommended a shard key.
 _SHARD_MIN_ROWS = 200_000
-
-
-def shard_fan_out() -> int:
-    return _SHARD_FAN_OUT
 
 
 def shard_min_rows() -> int:
@@ -39,18 +31,16 @@ def shard_min_rows() -> int:
 
 
 @contextmanager
-def shard_config(fan_out: Optional[int] = None, min_rows: Optional[int] = None):
-    """Temporarily override the shard-key what-if's fan-out and row floor."""
-    global _SHARD_FAN_OUT, _SHARD_MIN_ROWS
-    previous = (_SHARD_FAN_OUT, _SHARD_MIN_ROWS)
-    if fan_out is not None:
-        _SHARD_FAN_OUT = fan_out
+def shard_config(min_rows: Optional[int] = None):
+    """Temporarily override the shard-key what-if's row floor (``None`` keeps it)."""
+    global _SHARD_MIN_ROWS
+    previous = _SHARD_MIN_ROWS
     if min_rows is not None:
         _SHARD_MIN_ROWS = min_rows
     try:
         yield
     finally:
-        _SHARD_FAN_OUT, _SHARD_MIN_ROWS = previous
+        _SHARD_MIN_ROWS = previous
 
 
 def shard_bounds(num_rows: int, fan_out: int) -> Tuple[Tuple[int, int], ...]:

@@ -230,8 +230,11 @@ class TestSerialExecution:
 
     def test_names_the_session_benchmark_reaches_are_inert(self, database_factory):
         """``sessionbench/`` still calls or traces these; they do nothing."""
+        import importlib
+        import importlib.util
+        from pathlib import Path
+
         from repro.engine.executor import operators
-        from repro.engine.executor.access import AccessPath
         from repro.engine.shard import audit_shared_segments, shutdown_worker_pool
 
         session = connect(database=database_factory(Store.COLUMN))
@@ -239,7 +242,17 @@ class TestSerialExecution:
         assert session.stats().shard_degradations == 0
         assert shutdown_worker_pool() is None
         assert audit_shared_segments() == ([], [])
-        assert callable(AccessPath.plan_shards)
         assert operators.try_sharded_aggregation() is None
         assert operators.try_sharded_select() is None
         session.close()
+
+        # A traced benchmark run resolves every entry point it wraps.
+        path = Path(__file__).resolve().parents[2] / "sessionbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("sessionbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module_name, attribute, _ in tracing.SPANS:
+            owner = importlib.import_module(module_name)
+            for part in attribute.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), attribute

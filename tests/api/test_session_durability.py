@@ -9,6 +9,10 @@
   listener fires for it, the plan cache is not poisoned, and the session
   keeps executing — the regression net for the failing-UPDATE-mid-``sql()``
   class of bugs.
+* Layout changes — store moves, horizontal and vertical partitioning, a
+  collapse back to one store, a dropped table and an applied advisor
+  recommendation — are logged, and recovery rebuilds the same layout with
+  the same rows and the same charges.
 """
 
 import pytest
@@ -16,7 +20,15 @@ import pytest
 from repro.api import connect, recover
 from repro.config import DurabilityConfig
 from repro.engine import DataType, Store, TableSchema
+from repro.engine.partitioning import (
+    HorizontalPartitionSpec,
+    TablePartitioning,
+    VerticalPartitionSpec,
+)
 from repro.errors import ExecutionError
+from repro.query.builder import aggregate, update
+from repro.query.predicates import eq, ge
+from repro.query.workload import Workload
 
 SCHEMA = TableSchema.build(
     "t",
@@ -166,3 +178,94 @@ class TestDurabilitySurface:
         session.sql("DELETE FROM t WHERE id >= 0")
         assert snapshot.rows() == before
         assert session.sql("SELECT * FROM t").rows == []
+
+
+class TestLayoutDurability:
+    REPORT = (
+        "SELECT region, sum(revenue), count(*) FROM sales "
+        "WHERE quantity >= 3 GROUP BY region"
+    )
+
+    def wal_session(self, path, sales_schema, sales_rows):
+        session = connect(wal_path=path)
+        session.create_table(sales_schema, Store.ROW)
+        session.load_rows("sales", sales_rows)
+        return session
+
+    def layout(self, session):
+        """Everything recovery must rebuild: layout, rows and charges."""
+        catalog = session.database.catalog
+        if not catalog.has_table("sales"):
+            return catalog.table_names(), None
+        report = session.sql(self.REPORT)
+        rows = sorted(
+            session.sql("SELECT * FROM sales").rows, key=lambda row: row["id"]
+        )
+        return (
+            catalog.table_names(),
+            catalog.store_of("sales"),
+            catalog.partitioning_of("sales"),
+            rows,
+            sorted(report.rows, key=lambda row: row["region"]),
+            report.cost.components,
+        )
+
+    @pytest.mark.parametrize(
+        "change", ["move", "horizontal", "vertical", "collapse", "drop"]
+    )
+    def test_layout_change_survives_recovery(
+        self, tmp_path, sales_schema, sales_rows, change
+    ):
+        path = str(tmp_path / "db.wal")
+        session = self.wal_session(path, sales_schema, sales_rows)
+        horizontal = TablePartitioning(
+            horizontal=HorizontalPartitionSpec(predicate=ge("quantity", 18))
+        )
+        if change == "move":
+            session.move_table("sales", Store.COLUMN)
+        elif change == "horizontal":
+            session.apply_partitioning("sales", horizontal)
+        elif change == "vertical":
+            session.apply_partitioning("sales", TablePartitioning(
+                vertical=VerticalPartitionSpec(
+                    row_store_columns=("status",),
+                    column_store_columns=("region", "product", "revenue", "quantity"),
+                )
+            ))
+        elif change == "collapse":
+            session.apply_partitioning("sales", horizontal)
+            session.remove_partitioning("sales", Store.COLUMN)
+        else:
+            session.drop_table("sales")
+        # Writes after the change land in the new layout and replay there too.
+        if change != "drop":
+            session.sql("UPDATE sales SET status = 'late' WHERE id = 3")
+        expected = self.layout(session)
+        session.close()
+
+        recovered, report = recover(path)
+        assert report.clean and not report.replay_errors
+        assert self.layout(recovered) == expected
+        recovered.close()
+
+    def test_applied_recommendation_survives_recovery(
+        self, tmp_path, sales_schema, sales_rows
+    ):
+        path = str(tmp_path / "db.wal")
+        session = self.wal_session(path, sales_schema, sales_rows)
+        workload = Workload(
+            [aggregate("sales").sum("revenue").group_by("region").build()] * 20
+            + [update("sales", {"status": "x"}, eq("id", i)) for i in range(5)],
+            name="olap-heavy",
+        )
+        recommendation = session.recommend(workload, include_partitioning=False)
+        assert recommendation.choice_for("sales") is Store.COLUMN
+        session.apply(recommendation)
+        assert session.database.catalog.store_of("sales") is Store.COLUMN
+        expected = self.layout(session)
+        session.close()
+
+        recovered, report = recover(path)
+        assert report.clean and not report.replay_errors
+        assert self.layout(recovered) == expected
+        recovered.close()

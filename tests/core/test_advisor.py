@@ -18,14 +18,16 @@ from repro.core.advisor.table_level import TableLevelAdvisor
 from repro.core.cost_model.estimator import TableProfile
 from repro.engine import HybridDatabase, Store, TablePartitioning, VerticalPartitionSpec
 from repro.engine.schema import Column, TableSchema
-from repro.engine.shard import shard_bounds, shard_config, shard_fan_out, shard_min_rows
+from repro.engine.shard import shard_bounds, shard_config, shard_min_rows
 from repro.engine.statistics import compute_table_statistics
 from repro.engine.types import DataType
 from repro.errors import AdvisorError
 from repro.query import (
+    QueryType,
     Workload,
     aggregate,
     between,
+    delete,
     eq,
     ge,
     insert,
@@ -218,6 +220,21 @@ class TestWorkloadStatistics:
         assert table_stats.attribute("status").updates == 5
         assert statistics.total_queries == 15
 
+    def test_deletes_and_inserts_are_counted(self):
+        workload = Workload(
+            [delete("sales", eq("id", i)) for i in range(3)]
+            + [insert("sales", [{"id": 100 + i}, {"id": 200 + i}]) for i in range(2)]
+            + [aggregate("sales").sum("revenue").build()]
+        )
+        statistics = WorkloadStatistics.from_workload(workload)
+        table_stats = statistics.table("sales")
+        assert table_stats.queries_by_type[QueryType.DELETE] == 3
+        assert table_stats.num_inserts == 2
+        assert table_stats.rows_inserted == 4
+        assert table_stats.attribute("id").point_selections == 3
+        assert table_stats.olap_fraction == pytest.approx(1 / 6)
+        assert statistics.total_queries == 6
+
     def test_join_counts(self):
         workload = Workload([
             aggregate("fact").sum("v").join("dim", "d", "id").build()
@@ -319,16 +336,21 @@ def grouped_metrics_query():
     )
 
 
-def test_shard_bounds_cover_and_balance():
-    for num_rows, fan_out in ((10, 4), (4_001, 4), (7, 7), (3, 2)):
-        bounds = shard_bounds(num_rows, fan_out)
-        assert len(bounds) == fan_out
-        assert bounds[0][0] == 0 and bounds[-1][1] == num_rows
-        sizes = [stop - start for start, stop in bounds]
-        assert sum(sizes) == num_rows
-        assert max(sizes) - min(sizes) <= 1
-        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-            assert stop == start
+@pytest.mark.parametrize(
+    "num_rows, fan_out",
+    [(0, 4), (1, 4), (3, 2), (5, 1), (7, 7), (10, 4), (4_001, 4)],
+)
+def test_shard_bounds_cover_and_balance(num_rows, fan_out):
+    bounds = shard_bounds(num_rows, fan_out)
+    assert len(bounds) == fan_out
+    assert bounds[0][0] == 0 and bounds[-1][1] == num_rows
+    sizes = [stop - start for start, stop in bounds]
+    assert min(sizes) >= 0 and sum(sizes) == num_rows
+    assert max(sizes) - min(sizes) <= 1
+    # Larger ranges come first, so a remainder never lands on the last shard.
+    assert sizes == sorted(sizes, reverse=True)
+    for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+        assert stop == start
 
 
 class TestShardAdvisor:
@@ -390,14 +412,16 @@ class TestShardAdvisor:
             name="shardable",
         )
 
-    def test_fan_out_comes_from_shard_config(self):
+    def test_fan_out_defaults_to_four_and_scales_the_estimate(self):
         database = build_metrics_database(self.WHATIF_ROWS)
         advisor = StorageAdvisor()
-        with shard_config(min_rows=1, fan_out=2):
-            two = advisor.recommend_shard_keys(database, self.shardable_workload())
         with shard_config(min_rows=1):
+            two = advisor.recommend_shard_keys(
+                database, self.shardable_workload(), fan_out=2
+            )
             four = advisor.recommend_shard_keys(database, self.shardable_workload())
         assert two["metrics"].fan_out == 2
+        assert "shard by bucket x2" in two["metrics"].describe()
         assert four["metrics"].fan_out == 4
         # The same serial estimate, a smaller crew: less of it is divided.
         assert two["metrics"].estimated_serial_ms == pytest.approx(
@@ -408,15 +432,6 @@ class TestShardAdvisor:
             < two["metrics"].estimated_sharded_ms
             < two["metrics"].estimated_serial_ms
         )
-
-    def test_explicit_fan_out_overrides_the_config_default(self):
-        database = build_metrics_database(self.WHATIF_ROWS)
-        with shard_config(min_rows=1, fan_out=2):
-            recommendations = StorageAdvisor().recommend_shard_keys(
-                database, self.shardable_workload(), fan_out=3
-            )
-        assert recommendations["metrics"].fan_out == 3
-        assert "shard by bucket x3" in recommendations["metrics"].describe()
 
     def test_row_floor_is_inclusive(self):
         database = build_metrics_database(self.WHATIF_ROWS)
@@ -468,48 +483,18 @@ class TestShardAdvisor:
             StorageAdvisor().recommend_shard_keys(database, Workload([]))
 
 
-@pytest.mark.parametrize(
-    "num_rows, fan_out",
-    [(0, 4), (1, 4), (3, 2), (5, 1), (7, 7), (10, 4), (4_001, 4)],
-)
-def test_shard_bounds_edge_cases(num_rows, fan_out):
-    bounds = shard_bounds(num_rows, fan_out)
-    assert len(bounds) == fan_out
-    assert bounds[0][0] == 0 and bounds[-1][1] == num_rows
-    sizes = [stop - start for start, stop in bounds]
-    assert min(sizes) >= 0 and sum(sizes) == num_rows
-    assert max(sizes) - min(sizes) <= 1
-    # Larger ranges come first, so a remainder never lands on the last shard.
-    assert sizes == sorted(sizes, reverse=True)
-    for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-        assert stop == start
-
-
 class TestShardConfig:
-    def test_defaults(self):
-        assert shard_fan_out() == 4
+    def test_row_floor_override_is_scoped(self):
         assert shard_min_rows() == 200_000
-
-    def test_overrides_are_scoped(self):
-        with shard_config(fan_out=2, min_rows=10):
-            assert (shard_fan_out(), shard_min_rows()) == (2, 10)
-        assert (shard_fan_out(), shard_min_rows()) == (4, 200_000)
-
-    def test_partial_override_keeps_the_other_setting(self):
         with shard_config(min_rows=10):
-            assert (shard_fan_out(), shard_min_rows()) == (4, 10)
-        with shard_config(fan_out=8):
-            assert (shard_fan_out(), shard_min_rows()) == (8, 200_000)
-
-    def test_nested_overrides_unwind_in_order(self):
-        with shard_config(fan_out=2):
-            with shard_config(fan_out=3, min_rows=5):
-                assert (shard_fan_out(), shard_min_rows()) == (3, 5)
-            assert (shard_fan_out(), shard_min_rows()) == (2, 200_000)
-        assert shard_fan_out() == 4
+            assert shard_min_rows() == 10
+            # ``None`` keeps whatever floor is in force.
+            with shard_config(min_rows=None):
+                assert shard_min_rows() == 10
+        assert shard_min_rows() == 200_000
 
     def test_restored_when_the_body_raises(self):
         with pytest.raises(RuntimeError):
-            with shard_config(fan_out=2, min_rows=1):
+            with shard_config(min_rows=1):
                 raise RuntimeError("boom")
-        assert (shard_fan_out(), shard_min_rows()) == (4, 200_000)
+        assert shard_min_rows() == 200_000

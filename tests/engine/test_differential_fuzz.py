@@ -548,50 +548,6 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
         assert fast.cost.components == slow.cost.components, context
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_shard_config_preserves_results_and_charges(seed):
-    """Shard-setting differential: the what-if knobs never reach execution.
-
-    ``shard_config`` only sets the defaults of the advisor's shard-key
-    what-if.  Every read query runs twice against the same databases — once
-    with the fan-out changed and the row floor dropped below every table,
-    once with the defaults — interleaved with random DML, and both the row
-    multisets and the :class:`CostBreakdown` components must agree on every
-    layout, with ``shard_stats`` empty and no child process started.
-    """
-    import multiprocessing
-
-    from repro.engine.shard import shard_config
-
-    rng = random.Random(4000 + seed)
-    rows = generate_rows(rng, rng.randrange(40, 200))
-    layouts = build_layouts(rng, rows, generate_dim_rows())
-    next_id = len(rows)
-
-    for step in range(24):
-        if step and step % 6 == 0:
-            statement, next_id = random_dml(rng, next_id)
-            for database in layouts.values():
-                database.execute(statement)
-            continue
-        query = (
-            random_select(rng) if rng.random() < 0.4
-            else random_aggregation(rng)
-        )
-        for label, database in layouts.items():
-            with shard_config(fan_out=3, min_rows=1):
-                overridden = database.execute(query)
-            reference = database.execute(query)
-            context = (
-                f"seed={seed} step={step} [{label}] shard-config-vs-default "
-                f"query={query!r}"
-            )
-            assert_rows_equivalent(context, overridden.rows, reference.rows)
-            assert overridden.cost.components == reference.cost.components, context
-            assert overridden.shard_stats == {} == reference.shard_stats, context
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.matview
 @pytest.mark.parametrize("seed", range(2))
 def test_matview_toggle_preserves_results_and_charges(seed):

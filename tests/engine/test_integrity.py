@@ -23,6 +23,8 @@ The contracts pinned here:
   ``SessionStats`` but charges zero simulated cost.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,9 @@ from repro.api.session import recover
 from repro.config import IntegrityConfig
 from repro.engine.integrity import (
     apply_integrity_config,
-    codes_checksum,
     integrity_counters,
     integrity_disabled,
+    unit_checksum,
 )
 from repro.engine.partitioning import (
     HorizontalPartitionSpec,
@@ -96,17 +98,19 @@ def _default_integrity_config():
 # -- checksum primitives ---------------------------------------------------------------
 
 
-def test_codes_checksum_is_content_addressed():
-    codes = np.arange(64, dtype=np.int64)
-    reference = codes_checksum(codes)
-    assert codes_checksum(codes.copy()) == reference
+def test_unit_checksum_is_content_addressed():
+    dictionary = SimpleNamespace(values=("a", "b", None))
+    codes = np.arange(64, dtype=np.int64) % 3
+    reference = unit_checksum(codes, dictionary)
+    assert unit_checksum(codes.copy(), dictionary) == reference
     flipped = codes.copy()
     flipped[13] ^= 1
-    assert codes_checksum(flipped) != reference
+    assert unit_checksum(flipped, dictionary) != reference
+    assert unit_checksum(codes, SimpleNamespace(values=("a", "c", None))) != reference
     # Layout-independent: a non-contiguous view with equal contents agrees.
-    strided = np.arange(128, dtype=np.int64)[::2] * 2
-    assert codes_checksum(strided) == codes_checksum(
-        np.ascontiguousarray(strided)
+    strided = (np.arange(128, dtype=np.int32) % 3)[::2]
+    assert unit_checksum(strided, dictionary) == unit_checksum(
+        np.ascontiguousarray(strided, dtype=np.int64), dictionary
     )
 
 

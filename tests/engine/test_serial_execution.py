@@ -5,10 +5,10 @@ The contracts pinned here:
 * on every layout (row store, column store, horizontal and vertical
   partitions), grouped and ungrouped aggregations, filtered selections and
   zero-scan answers return the rows a plain-Python evaluation of the loaded
-  data gives;
-* the shard-key what-if settings (:func:`shard_config`) are advisor-only:
-  lowering the row floor below the table size changes neither the rows nor
-  the :class:`CostBreakdown`, fills no ``shard_stats`` and starts no process.
+  data gives, with ``shard_stats`` empty and no child process started.
+
+The differential fuzzers compare layouts with each other; this suite pins
+each of them to an answer computed without the engine.
 """
 
 import math
@@ -23,7 +23,6 @@ from repro.engine.partitioning import (
     VerticalPartitionSpec,
 )
 from repro.engine.schema import Column, TableSchema
-from repro.engine.shard import shard_config
 from repro.engine.types import DataType, Store
 from repro.query.builder import aggregate, select
 from repro.query.predicates import between, eq, ge
@@ -196,15 +195,11 @@ def assert_rows_match_oracle(actual, expected):
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("layout", ["row", "column", "horizontal", "vertical"])
-def test_serial_operators_match_the_oracle_under_any_shard_setting(layout, shape):
+def test_serial_operators_match_the_oracle(layout, shape):
     database = build_database(layout)
     query, expected = SHAPES[shape]()
-    reference = database.execute(query)
-    with shard_config(fan_out=3, min_rows=1):
-        result = database.execute(query)
+    result = database.execute(query)
 
-    assert_rows_match_oracle(reference.rows, expected)
-    assert _canonical(result.rows) == _canonical(reference.rows)
-    assert result.cost.components == reference.cost.components
-    assert result.shard_stats == {} and reference.shard_stats == {}
+    assert_rows_match_oracle(result.rows, expected)
+    assert result.shard_stats == {}
     assert multiprocessing.active_children() == []
