@@ -9,10 +9,10 @@ pytest gates, so a loaded machine does not flake the comparator.
 
 ``--fail-under <scenario>=<ratio>`` additionally gates a scenario's *live*
 speedup: the scenario and its reference baseline are both re-measured on the
-current tree (the pushdown scenarios re-run decode-then-reduce behind the
-disable toggles; other scenarios fall back to the committed
-``seed_baseline``) and the comparator fails when ``baseline / measured``
-drops below *ratio*.  Repeatable.
+current tree (the pushdown scenarios re-run decode-then-reduce under
+``use_features(aggregate_pushdown=False)``; other scenarios fall back to the
+committed ``seed_baseline``) and the comparator fails when
+``baseline / measured`` drops below *ratio*.  Repeatable.
 
 Usage, from the repository root::
 

@@ -2,7 +2,9 @@
 # Full verification gate in one command:
 #
 #   tier-1   — the complete test + figure-reproduction suite (pytest from the
-#              repo root, exactly the ROADMAP command),
+#              repo root, exactly the ROADMAP command); it includes the
+#              guard that no repro.engine module defines its own
+#              *_disabled()/*_enabled() toggle,
 #   perf     — the wall-clock regression smokes against BENCH_pipeline.json
 #              plus the session plan-cache smoke (prepared re-execution must
 #              beat cold parse+plan by >= 2x),
@@ -13,7 +15,8 @@
 #              the decode-then-reduce reference (grouped >=3x, zero-scan
 #              MIN/MAX >=20x), the delta/main write split gates per-row
 #              inserts at >=5x over the inline path, and the matview serve
-#              gates >=5x over recompute-per-query,
+#              gates >=5x over recompute-per-query; every reference runs
+#              under use_features(<field>=False) from repro.engine.features,
 #   matview  — the materialized-view suite, standalone: refresh machinery,
 #              session serving/EXPLAIN/advisor tests, the matview-vs-base
 #              differential fuzzer and the serve-vs-recompute perf gates

@@ -35,18 +35,13 @@ import time
 
 import pytest
 
-from repro.engine.column_store import (
-    ColumnStoreTable,
-    code_domain_disabled,
-    delta_writes_disabled,
-)
+from repro.engine.column_store import ColumnStoreTable
 from repro.engine.database import HybridDatabase
-from repro.engine.executor.agg_pushdown import aggregate_pushdown_disabled
+from repro.engine.features import use_features
 from repro.engine.partitioning import HorizontalPartitionSpec, TablePartitioning
 from repro.engine.schema import TableSchema
 from repro.engine.table import StoredTable
 from repro.engine.types import DataType, Store
-from repro.engine.zonemap import zone_pruning_disabled
 from repro.query.builder import aggregate
 from repro.query.predicates import Between, Or, ge
 
@@ -175,7 +170,7 @@ def measure_tpch_datagen_ms() -> float:
 def _decode_up_front():
     """Force every column read to decode (the pre-late-materialization shape).
 
-    Combined with ``aggregate_pushdown_disabled()`` this is the
+    Combined with ``use_features(aggregate_pushdown=False)`` this is the
     decode-then-reduce reference the pushdown speedups are recorded against.
     """
     original = StoredTable.column_batched
@@ -225,7 +220,7 @@ def measure_grouped_agg_pushdown_ms(decode_baseline: bool = False) -> float:
     query = _grouped_pushdown_query()
     runner = lambda: database.execute(query)  # noqa: E731
     if decode_baseline:
-        with aggregate_pushdown_disabled(), _decode_up_front():
+        with use_features(aggregate_pushdown=False), _decode_up_front():
             return best_of(runner) * 1000.0
     return best_of(runner) * 1000.0
 
@@ -241,7 +236,7 @@ def measure_minmax_zero_scan_ms(decode_baseline: bool = False) -> float:
     query = _minmax_query()
     runner = lambda: database.execute(query)  # noqa: E731
     if decode_baseline:
-        with aggregate_pushdown_disabled(), _decode_up_front():
+        with use_features(aggregate_pushdown=False), _decode_up_front():
             return best_of(runner) * 1000.0
     return best_of(runner) * 1000.0
 
@@ -264,7 +259,7 @@ def measure_delta_insert_ms(inline_baseline: bool = False) -> float:
     Per-statement writes are the write-optimised delta's reason to exist:
     each append lands in the uncompressed delta in O(1), and the dictionary
     rebuild is paid once at merge time.  ``inline_baseline=True`` measures
-    the identical loop under ``delta_writes_disabled()`` — the pre-split
+    the identical loop under ``use_features(delta_writes=False)`` — the pre-split
     path, which re-extends the compressed codes array on every statement.
     One repetition: the scenario is a 100k-statement stream, not a warm read.
     """
@@ -289,7 +284,7 @@ def measure_delta_insert_ms(inline_baseline: bool = False) -> float:
     table = ColumnStoreTable(schema)
 
     def run_inline():
-        with delta_writes_disabled():
+        with use_features(delta_writes=False):
             for row in rows:
                 table.insert_rows([row])
 
@@ -310,11 +305,10 @@ def measure_matview_grouped_agg_ms(recompute_baseline: bool = False) -> float:
     The view session answers the statement from the materialized rows (a
     plan-cache hit plus a copy of the grouped result);
     ``recompute_baseline=True`` measures the identical statement under
-    ``matview_disabled()`` — the full scan-and-aggregate path, which is what
-    every recurrence pays without the view.
+    ``use_features(matview=False)`` — the full scan-and-aggregate path, which
+    is what every recurrence pays without the view.
     """
     from repro.api import connect
-    from repro.engine.matview import matview_disabled
 
     session = connect(
         database=build_aggregation_database(Store.COLUMN, GROUP_BY_DISTINCT)
@@ -323,7 +317,7 @@ def measure_matview_grouped_agg_ms(recompute_baseline: bool = False) -> float:
     session.create_view("mv_facts", query)
     runner = lambda: session.execute(query)  # noqa: E731
     if recompute_baseline:
-        with matview_disabled():
+        with use_features(matview=False):
             return best_of(runner) * 1000.0
     return best_of(runner) * 1000.0
 
@@ -423,7 +417,7 @@ def measure_selective_scan_ms(
     query = aggregate("scan_facts").count().where(_scan_predicate(narrow)).build()
     runner = lambda: database.execute(query)  # noqa: E731
     if decode_baseline:
-        with code_domain_disabled(), zone_pruning_disabled():
+        with use_features(code_domain=False, zone_pruning=False):
             return best_of(runner) * 1000.0
     return best_of(runner) * 1000.0
 
@@ -462,13 +456,13 @@ BASELINE_MEASUREMENTS = {
     for key, (measure, _) in PUSHDOWN_SCENARIOS.items()
 }
 #: The delta-insert baseline re-runs the inline write path live: it still
-#: exists behind ``delta_writes_disabled()`` and *is* the seed pipeline.
+#: exists behind ``use_features(delta_writes=False)`` and *is* the seed pipeline.
 BASELINE_MEASUREMENTS["delta_insert_100k_ms"] = lambda: measure_delta_insert_ms(
     inline_baseline=True
 )
 #: The matview baseline re-runs the recompute path live behind
-#: ``matview_disabled()`` — the full scan-and-aggregate every recurrence of
-#: the statement pays without the view.
+#: ``use_features(matview=False)`` — the full scan-and-aggregate every
+#: recurrence of the statement pays without the view.
 BASELINE_MEASUREMENTS["matview_grouped_agg_100k_ms"] = (
     lambda: measure_matview_grouped_agg_ms(recompute_baseline=True)
 )
@@ -687,7 +681,7 @@ if __name__ == "__main__":
     baseline = payload.setdefault("seed_baseline", {})
     # The selective-scan and pushdown baselines are re-measured here rather
     # than pinned: the decode-and-compare / decode-then-reduce paths still
-    # exist behind the disable toggles and *are* the seed pipeline for these
+    # exist behind use_features(...=False) and *are* the seed pipeline for these
     # scenarios.
     for key, (partitioned, narrow) in SCAN_SCENARIOS.items():
         baseline[key] = measure_selective_scan_ms(

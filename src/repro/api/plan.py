@@ -89,7 +89,7 @@ class ViewRewrite:
 
     Recorded in the :class:`PhysicalPlan` whenever the catalog holds a view
     whose defining-query fingerprint equals the plan's — regardless of the
-    ``matview_disabled()`` toggle, which gates *serving*, not detection, so
+    ``matview`` execution feature, which gates *serving*, not detection, so
     EXPLAIN can always show what the planner would do.  A stale view is
     refreshed before serving (never serve stale rows); the session falls back
     to base-table execution when views are disabled or the view disappeared.

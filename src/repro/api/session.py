@@ -41,12 +41,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.api.binder import Params, bind, statement_parameters
 from repro.api.explain import render_plan
 from repro.api.plan import PhysicalPlan, PlanCache, Planner
-from repro.config import (
-    AdvisorConfig,
-    DeviceModelConfig,
-    DurabilityConfig,
-    IntegrityConfig,
-)
+from repro.config import AdvisorConfig, DeviceModelConfig, DurabilityConfig
 from repro.core.advisor.advisor import StorageAdvisor
 from repro.core.advisor.recommendation import Recommendation
 from repro.engine.database import HybridDatabase, WorkloadRunResult
@@ -54,16 +49,11 @@ from repro.engine.matview import (
     REFRESH_INCREMENTAL,
     MaterializedView,
     RefreshResult,
-    matview_enabled,
     view_serve_bytes,
 )
 from repro.engine.deadline import query_deadline
-from repro.engine.integrity import (
-    IntegrityReport,
-    apply_integrity_config,
-    integrity_counters,
-    scrub,
-)
+from repro.engine.features import current_features
+from repro.engine.integrity import IntegrityReport, integrity_counters, scrub
 from repro.engine.wal import RecoveryReport, WriteAheadLog, recover as wal_recover
 from repro.engine.executor.executor import QueryResult
 from repro.engine.partitioning import TablePartitioning
@@ -173,7 +163,6 @@ class Session:
         plan_cache_capacity: int = 512,
         wal_path: Optional[str] = None,
         durability: Optional[DurabilityConfig] = None,
-        integrity: Optional[IntegrityConfig] = None,
     ) -> None:
         self.database = database if database is not None else HybridDatabase(device_config)
         self._advisor = StorageAdvisor(
@@ -196,8 +185,6 @@ class Session:
         # lifetime as deltas from this snapshot.
         self._integrity_baseline = integrity_counters().snapshot()
         self._closed = False
-        if integrity is not None:
-            apply_integrity_config(integrity)
         if durability is not None:
             self.database.delta_merge_threshold = durability.delta_merge_threshold
         if wal_path is not None and self.database.wal is None:
@@ -332,7 +319,7 @@ class Session:
         rewrite = plan.view_rewrite
         if rewrite is None:
             return None
-        if not matview_enabled():
+        if not current_features().matview:
             self._view_rewrite_misses += 1
             return None
         database = self.database
@@ -677,6 +664,8 @@ class Session:
             planner.logical(template).fingerprint,
             self.database.layout_fingerprint(template.tables),
             self._advisor.cost_model.parameters_fingerprint,
+            # The planner's estimates and decisions depend on the features.
+            current_features(),
             # View DDL (and explicit refreshes) bump this version: a plan
             # that recorded — or skipped — a view rewrite must not outlive
             # the view catalog it was planned against.
@@ -701,7 +690,6 @@ def connect(
     plan_cache_capacity: int = 512,
     wal_path: Optional[str] = None,
     durability: Optional[DurabilityConfig] = None,
-    integrity: Optional[IntegrityConfig] = None,
 ) -> Session:
     """Open a :class:`Session` over a new (or an existing) database.
 
@@ -709,8 +697,8 @@ def connect(
     log at that path so the database can be rebuilt with :func:`recover`
     after a crash.  *durability* tunes the WAL sync mode and the delta
     merge threshold (see :class:`~repro.config.DurabilityConfig`).
-    *integrity* tunes the checksum layer process-wide (see
-    :class:`~repro.config.IntegrityConfig`).
+    Fast paths and integrity verification are not session options: scope
+    them with :func:`repro.engine.features.use_features`.
     """
     return Session(
         database=database,
@@ -719,7 +707,6 @@ def connect(
         plan_cache_capacity=plan_cache_capacity,
         wal_path=wal_path,
         durability=durability,
-        integrity=integrity,
     )
 
 

@@ -13,7 +13,10 @@ Two kinds of configuration live here:
   (partitioning heuristics, enumeration limits, online re-evaluation period).
 
 Both are plain dataclasses with sensible defaults; every experiment can
-override individual fields.
+override individual fields.  Which execution fast paths run (zone pruning,
+code-domain predicates, aggregate pushdown, delta writes, materialized
+views, integrity verification) is not configuration held here: it is
+scoped per context with :func:`repro.engine.features.use_features`.
 """
 
 from __future__ import annotations
@@ -141,26 +144,6 @@ class DurabilityConfig:
     delta_merge_threshold: int = 65536
 
 
-@dataclass(frozen=True)
-class IntegrityConfig:
-    """Knobs of the data-integrity layer (checksums, scrub, quarantine).
-
-    Consumed by :func:`repro.api.connect` (``integrity=...``) and applied to
-    the engine's process-wide defaults, so the last session that passes one
-    sets the policy for every session.  Verification is billed zero
-    simulated cost either way — only wall clock and the integrity counters
-    are affected.
-    """
-
-    #: Master switch.  ``False`` disables checksum maintenance and scan-time
-    #: verification entirely (quarantine state already recorded keeps
-    #: raising — corrupt data is never served).
-    enabled: bool = True
-    #: Verify a column-store unit's checksum (at most once per zone epoch)
-    #: when a scan first reads it.
-    verify_on_scan: bool = True
-
-
 @dataclass
 class ReproConfig:
     """Top-level configuration bundle used by examples and benchmarks."""
@@ -168,5 +151,4 @@ class ReproConfig:
     device: DeviceModelConfig = field(default_factory=DeviceModelConfig)
     advisor: AdvisorConfig = field(default_factory=AdvisorConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
     seed: int = DEFAULT_SEED

@@ -38,9 +38,9 @@ from repro.core.cost_model.estimator import (
 )
 from repro.core.cost_model.model import CostModel
 from repro.engine.database import HybridDatabase
+from repro.engine.features import current_features
 from repro.engine.matview import view_serve_bytes
 from repro.engine.schema import TableSchema
-from repro.engine.shard import shard_min_rows
 from repro.engine.statistics import TableStatistics
 from repro.engine.timing import CostBreakdown, DeviceModel
 from repro.engine.types import Store
@@ -229,7 +229,7 @@ class StorageAdvisor:
                 continue
             if stores.get(table, Store.COLUMN) is not Store.COLUMN:
                 continue
-            if profile.num_rows < shard_min_rows():
+            if profile.num_rows < current_features().shard_min_rows:
                 continue
             queries = [
                 query for query in workload.queries_for_table(table)

@@ -23,12 +23,8 @@ from repro.engine.column_store import SCAN_MATERIALIZATION_THRESHOLD
 from repro.engine.schema import TableSchema
 from repro.engine.statistics import TableStatistics
 from repro.engine.types import Store
-from repro.engine.zonemap import (
-    ColumnZone,
-    is_nan,
-    zone_can_match,
-    zone_pruning_enabled,
-)
+from repro.engine.features import current_features
+from repro.engine.zonemap import ColumnZone, is_nan, zone_can_match
 from repro.errors import EstimationError
 from repro.query.ast import (
     AggregationQuery,
@@ -135,7 +131,7 @@ def predicate_prunes_profile(
     skips the scan entirely.  Null counts are unknown at this level, so all
     NULL-based proofs stay conservative.
     """
-    if predicate is None or not zone_pruning_enabled():
+    if predicate is None or not current_features().zone_pruning:
         return False
     zones = {}
     for name in predicate.columns():
@@ -176,7 +172,7 @@ def partition_scan_fraction(
     dropped) or 1.0.  Only *read* estimates consume this: the write path
     keeps seed-identical accounting, so DML estimates stay unscaled.
     """
-    if predicate is None or not zone_pruning_enabled():
+    if predicate is None or not current_features().zone_pruning:
         return 1.0
     partitions = getattr(profile.statistics, "partitions", ())
     if not partitions:

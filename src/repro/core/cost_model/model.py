@@ -37,6 +37,7 @@ from repro.core.cost_model.estimator import (
 )
 from repro.core.cost_model.parameters import CostModelParameters, analytic_parameters
 from repro.engine.catalog import Catalog
+from repro.engine.features import current_features
 from repro.engine.statistics import TableStatistics
 from repro.engine.types import Store
 from repro.errors import EstimationError
@@ -181,11 +182,12 @@ class CostModel:
     ) -> float:
         """Estimated runtime (ms) of *query* under *assignment*.
 
-        Estimates are memoized in :attr:`memo` per (query fingerprint,
-        stores-of-referenced-tables, statistics-fingerprints-of-referenced-
-        tables): assignments that only differ on tables the query does not
-        touch share one entry, as do structurally identical query objects and
-        statistics refreshes that did not change the data characteristics.
+        Estimates are memoized in :attr:`memo` per (execution features,
+        query fingerprint, stores-of-referenced-tables, statistics-
+        fingerprints-of-referenced-tables): assignments that only differ on
+        tables the query does not touch share one entry, as do structurally
+        identical query objects and statistics refreshes that did not change
+        the data characteristics.
         """
         key = self.estimate_key(query, assignment, profiles)
         if key is not None:
@@ -208,6 +210,7 @@ class CostModel:
         try:
             return (
                 self._parameters_fp,
+                current_features(),
                 query_fingerprint(query),
             ) + tuple(
                 (table, assignment[table].value, profiles[table].statistics.fingerprint)

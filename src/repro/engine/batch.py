@@ -33,7 +33,7 @@ predicate masks exactly as the scalar evaluator dictates.
 The module also hosts :func:`vectorized_value_mask`, the value-level
 vectorized predicate evaluator shared by the row store's full scan and the
 column store's decode-and-compare fallback (also reachable via
-``code_domain_disabled()`` as the differential reference path).  It mirrors
+``use_features(code_domain=False)`` as the differential reference path).  It mirrors
 the row-at-a-time semantics of :mod:`repro.query.predicates` exactly
 (``NULL`` never matches a comparison, ``IS NULL`` matches only ``None``);
 predicates it cannot express vectorially return ``None`` and the caller

@@ -16,7 +16,7 @@ NULL (the reserved code 0) and NaN (sorted last) are excluded or included
 exactly as the scalar evaluator would.  Predicates the compiler cannot
 express (incomparable literal types, columns it does not know) fall back to
 the decode-and-compare path, which mirrors the row store's evaluator.
-``code_domain_disabled()`` forces that fallback everywhere — the
+``use_features(code_domain=False)`` forces that fallback everywhere — the
 differential fuzzer and the scan benchmarks use it as the reference path.
 
 **Delta/main split** (the paper's write-optimised store): DML inserts append
@@ -29,9 +29,10 @@ is modelled as asynchronous reorganisation and is charge-free; every *read*
 charge and statistic is computed over the **logical** column (main rows plus
 delta rows, main dictionary plus the delta's new values), so the
 :class:`~repro.engine.timing.CostBreakdown` of any query is bit-identical to
-the inline-write reference reachable via ``delta_writes_disabled()`` — the
-delta is a wall-clock write optimisation, not a cost-model change.  Updates
-and deletes merge first and then mutate main exactly as the reference does.
+the inline-write reference reachable via ``use_features(delta_writes=False)``
+— the delta is a wall-clock write optimisation, not a cost-model change.
+Updates and deletes merge first and then mutate main exactly as the
+reference does.
 
 **Snapshot visibility**: :meth:`ColumnStoreTable.snapshot` seals the table
 and returns a consistent read view; the next merge or in-place mutation
@@ -41,8 +42,7 @@ of the snapshot while writers proceed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +54,8 @@ from repro.engine.batch import (
     values_to_array,
 )
 from repro.engine.compression import CompressedColumn, code_width_bytes
-from repro.engine.integrity import TableIntegrity, verify_on_scan_enabled
+from repro.engine.features import current_features
+from repro.engine.integrity import TableIntegrity
 from repro.engine.schema import TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
@@ -81,57 +82,8 @@ from repro.query.predicates import (
 #: and measured costs follow the same access-path choice.
 SCAN_MATERIALIZATION_THRESHOLD = 0.15
 
-_CODE_DOMAIN_ENABLED = True
-
-
-def code_domain_enabled() -> bool:
-    """Whether predicates compile to code-domain masks (vs decode/compare)."""
-    return _CODE_DOMAIN_ENABLED
-
-
-@contextmanager
-def code_domain_disabled() -> Iterator[None]:
-    """Force the decode-and-compare fallback for every predicate.
-
-    The differential fuzzer runs under this to pin result equivalence of the
-    two paths, and the scan benchmarks use it as the reference measurement.
-    """
-    global _CODE_DOMAIN_ENABLED
-    previous = _CODE_DOMAIN_ENABLED
-    _CODE_DOMAIN_ENABLED = False
-    try:
-        yield
-    finally:
-        _CODE_DOMAIN_ENABLED = previous
-
-
-_DELTA_WRITES_ENABLED = True
-
 #: Delta size (in rows) at which an insert triggers an automatic merge.
 DEFAULT_MERGE_THRESHOLD = 65536
-
-
-def delta_writes_enabled() -> bool:
-    """Whether DML inserts append to the delta (vs inline dictionary encoding)."""
-    return _DELTA_WRITES_ENABLED
-
-
-@contextmanager
-def delta_writes_disabled() -> Iterator[None]:
-    """Force the inline-write reference path for every insert.
-
-    The recovery and differential fuzzers run the reference executions under
-    this toggle: results *and* ``CostBreakdown`` charges must be bit-identical
-    to the delta path.  (A delta already buffered keeps serving reads — the
-    toggle governs where new writes go, not how existing rows are read.)
-    """
-    global _DELTA_WRITES_ENABLED
-    previous = _DELTA_WRITES_ENABLED
-    _DELTA_WRITES_ENABLED = False
-    try:
-        yield
-    finally:
-        _DELTA_WRITES_ENABLED = previous
 
 
 class DeltaColumn:
@@ -645,7 +597,7 @@ class ColumnStoreTable:
         positions = []
         if pending:
             try:
-                if _DELTA_WRITES_ENABLED:
+                if current_features().delta_writes:
                     self._extend_delta(pending)
                 else:
                     self._unseal_for_write()
@@ -714,9 +666,9 @@ class ColumnStoreTable:
         keep reading the old column objects.  Dictionary accumulation is
         history-order independent, so the post-merge physical state is
         bit-identical to inline insertion — the basis of the
-        ``delta_writes_disabled()`` equivalence contract.  The merge itself
-        is charge-free: it models asynchronous reorganisation, and all read
-        charges are logical (main + delta) anyway.
+        ``use_features(delta_writes=False)`` equivalence contract.  The merge
+        itself is charge-free: it models asynchronous reorganisation, and all
+        read charges are logical (main + delta) anyway.
         """
         if self._delta_len == 0:
             return 0
@@ -901,7 +853,7 @@ class ColumnStoreTable:
         state = self.integrity
         for name in columns:
             state.check_quarantine(name)
-        if not verify_on_scan_enabled():
+        if not current_features().integrity:
             return
         epoch = self._zone_epoch
         for name in columns:
@@ -934,7 +886,9 @@ class ColumnStoreTable:
             accountant.record_delta_scan(
                 self.schema.name, self._num_rows - delta_len, delta_len
             )
-        if _CODE_DOMAIN_ENABLED and (not delta_len or self._delta_compile_ok(predicate)):
+        if current_features().code_domain and (
+            not delta_len or self._delta_compile_ok(predicate)
+        ):
             compiled = compile_code_mask(
                 predicate, self._columns, self._num_rows - delta_len
             )
@@ -1037,7 +991,7 @@ class ColumnStoreTable:
         """
         if accountant is None or predicate is None:
             return
-        if _CODE_DOMAIN_ENABLED and (
+        if current_features().code_domain and (
             not self._delta_len or self._delta_compile_ok(predicate)
         ):
             leaves = compile_code_leaves(predicate, self._columns)

@@ -84,7 +84,7 @@ physical plan (re-derived on stale zone-epoch tokens, exactly like a
 * **code-domain** — unpartitioned column-store aggregation on dictionary
   codes (the batch-pipeline kernels above);
 * **operator** — the generic reference: joins, row-store bases, undecidable
-  predicates, and everything under ``aggregate_pushdown_disabled()``.
+  predicates, and everything under ``use_features(aggregate_pushdown=False)``.
 
 UPDATE/DELETE predicate scans reuse the same ``ScanDecision`` machinery: a
 provably-empty DML scan is skipped with its charges *replayed*

@@ -16,9 +16,10 @@ Access paths are also where the plan's pruning decisions execute.
 .ScanDecision` for a read predicate from the current zone maps and records
 it on the path; the planner embeds the same object in the physical plan.  At
 execution the path *consumes* the recorded decision instead of re-deriving
-it — unless the decision's zone-epoch token went stale (DML since planning)
-or a different bound predicate arrives (parameterized plans), in which case
-it is re-derived so pruning can never skip rows it must not.  Every prunable
+it — unless the decision's token went stale (DML since planning, or a
+change of :class:`~repro.engine.features.ExecutionFeatures`) or a different
+bound predicate arrives (parameterized plans), in which case it is
+re-derived so pruning can never skip rows it must not.  Every prunable
 unit consulted is counted on the accountant (scanned vs. skipped), which is
 what ``EXPLAIN ANALYZE`` reports.
 """
@@ -35,15 +36,11 @@ from repro.engine.executor.agg_pushdown import (
     AggregateUnit,
     derive_aggregate_strategy,
 )
+from repro.engine.features import current_features
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
-from repro.engine.zonemap import (
-    PartitionScan,
-    ScanDecision,
-    zone_can_match,
-    zone_pruning_enabled,
-)
+from repro.engine.zonemap import PartitionScan, ScanDecision, zone_can_match
 from repro.query.ast import AggregationQuery
 from repro.query.predicates import Predicate
 
@@ -111,8 +108,8 @@ class AccessPath:
         """Derive (and record) the pruning decision for *predicate*.
 
         Called once by the planner/executor when resolving paths; execution
-        re-uses the recorded decision as long as its zone-epoch token and
-        predicate still match.
+        re-uses the recorded decision as long as its token and predicate
+        still match.
         """
         decision = self._derive_decision(predicate)
         self.scan_decision = decision
@@ -121,9 +118,13 @@ class AccessPath:
     def decision_for(self, predicate: Optional[Predicate]) -> ScanDecision:
         """The valid decision for *predicate* — recorded if fresh, else re-derived."""
         decision = self.scan_decision
-        if decision is not None and decision.matches(predicate, self._zone_token()):
+        if decision is not None and decision.matches(predicate, self.decision_token()):
             return decision
         return self.plan_scan(predicate)
+
+    def decision_token(self) -> tuple:
+        """The staleness token of decisions derived now: features, then zone epochs."""
+        return (current_features(),) + self._zone_token()
 
     def _zone_token(self) -> tuple:
         raise NotImplementedError
@@ -137,8 +138,8 @@ class AccessPath:
         """Derive (and record) the aggregate-pushdown strategy for *query*.
 
         Called by the planner/executor when resolving paths; execution
-        re-uses the recorded strategy as long as its zone-epoch token, the
-        query and the pushdown toggle still match.
+        re-uses the recorded strategy as long as its token and the query
+        still match.
         """
         strategy = derive_aggregate_strategy(self, query)
         self.aggregate_strategy = strategy
@@ -147,7 +148,7 @@ class AccessPath:
     def aggregate_decision_for(self, query: AggregationQuery) -> AggregateStrategy:
         """The valid strategy for *query* — recorded if fresh, else re-derived."""
         strategy = self.aggregate_strategy
-        if strategy is not None and strategy.matches(query, self._zone_token()):
+        if strategy is not None and strategy.matches(query, self.decision_token()):
             return strategy
         return self.plan_aggregate(query)
 
@@ -249,7 +250,7 @@ class SimpleAccessPath(AccessPath):
     def _derive_decision(self, predicate: Optional[Predicate]) -> ScanDecision:
         scan = True
         reason = ""
-        if predicate is not None and zone_pruning_enabled():
+        if predicate is not None and current_features().zone_pruning:
             zones = part_zones(self.table, predicate)
             if not zone_can_match(predicate, zones, self.table.num_rows):
                 scan = False
@@ -257,9 +258,8 @@ class SimpleAccessPath(AccessPath):
         return ScanDecision(
             table=self.table.name,
             predicate=predicate,
-            token=self._zone_token(),
+            token=self.decision_token(),
             partitions=(PartitionScan(self.table.name, scan, reason),),
-            pruning=zone_pruning_enabled(),
         )
 
     def aggregate_units(self) -> List[AggregateUnit]:
@@ -295,7 +295,7 @@ class SimpleAccessPath(AccessPath):
         :class:`~repro.engine.timing.CostBreakdown` stays bit-identical to
         the seed accounting — pruning DML is a wall-clock optimisation only.
         """
-        if predicate is None or self._inner or not zone_pruning_enabled():
+        if predicate is None or self._inner or not current_features().zone_pruning:
             return False
         if self.decision_for(predicate).partitions[0].scan:
             return False

@@ -34,21 +34,21 @@ token went stale, exactly like a :class:`~repro.engine.zonemap.ScanDecision`):
 
 ``operator``
     The generic reference path: joins, row-store bases, undecidable
-    predicates, and everything under ``aggregate_pushdown_disabled()``.
+    predicates, and everything under ``use_features(aggregate_pushdown=False)``.
 
 Pushdown is a **wall-clock** optimisation only: every tier charges the
 :class:`~repro.engine.timing.CostAccountant` bit-identically to the
 reference path (the zero-scan tier still *charges* the scan it skips), and
-``aggregate_pushdown_disabled()`` keeps the decode-then-reduce pipeline
-reachable as the differential baseline.
+``use_features(aggregate_pushdown=False)`` keeps the decode-then-reduce
+pipeline reachable as the differential baseline.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
+from repro.engine.features import Decision, current_features
 from repro.engine.types import Store
 from repro.engine.zonemap import ColumnZone, zone_can_match, zone_must_match
 from repro.query.ast import AggregateFunction, AggregationQuery, split_qualified
@@ -60,8 +60,6 @@ __all__ = [
     "TIER_OPERATOR",
     "TIER_PARTITION_PARTIAL",
     "TIER_ZERO_SCAN",
-    "aggregate_pushdown_disabled",
-    "aggregate_pushdown_enabled",
     "derive_aggregate_strategy",
 ]
 
@@ -69,32 +67,6 @@ TIER_ZERO_SCAN = "zero-scan"
 TIER_PARTITION_PARTIAL = "partition-partial"
 TIER_CODE_DOMAIN = "code-domain"
 TIER_OPERATOR = "operator"
-
-_PUSHDOWN_ENABLED = True
-
-
-def aggregate_pushdown_enabled() -> bool:
-    """Whether aggregation may execute below the generic operator."""
-    return _PUSHDOWN_ENABLED
-
-
-@contextmanager
-def aggregate_pushdown_disabled() -> Iterator[None]:
-    """Force the decode-then-reduce reference pipeline everywhere.
-
-    The differential fuzzer runs every aggregation under this toggle too and
-    pins results *and* :class:`~repro.engine.timing.CostBreakdown` charges
-    identical to the pushdown path.  Recorded strategies carry the toggle
-    state they were derived under, so session-cached plans re-derive on a
-    flip and the reference stays reachable through them.
-    """
-    global _PUSHDOWN_ENABLED
-    previous = _PUSHDOWN_ENABLED
-    _PUSHDOWN_ENABLED = False
-    try:
-        yield
-    finally:
-        _PUSHDOWN_ENABLED = previous
 
 
 #: Zero-scan verdicts per prunable unit.
@@ -130,39 +102,27 @@ class AggregateUnit:
 
 
 @dataclass(frozen=True)
-class AggregateStrategy:
+class AggregateStrategy(Decision):
     """The pushdown decision of one table's aggregation, recorded in plans.
 
     Like a :class:`~repro.engine.zonemap.ScanDecision`, the strategy carries
-    the zone-epoch ``token`` it was derived under and the toggle state; an
-    access path re-derives it when either no longer matches (DML since
-    planning, a different bound query, or a toggle flip), so a cached plan
-    can never serve a stale zero-scan answer.
+    the features-plus-zone-epochs ``token`` it was derived under; an access
+    path re-derives it when the token or the query no longer matches (DML
+    since planning, a different bound query, or a feature change), so a
+    cached plan can never serve a stale zero-scan answer.
     """
+
+    key_field = "query"
 
     table: str
     tier: str
     reason: str
-    token: Tuple[int, ...]
-    pushdown: bool
+    token: tuple
     query: Optional[AggregationQuery] = None
     #: Zero-scan only: per-unit ``(label, verdict)`` pairs.
     partitions: Tuple[Tuple[str, str], ...] = ()
     #: Zero-scan only: the precomputed ``(output_name, value)`` result row.
     answer: Optional[Tuple[Tuple[str, Any], ...]] = None
-
-    def matches(self, query: AggregationQuery, token: Tuple[int, ...]) -> bool:
-        """Whether this strategy still governs *query* under *token*."""
-        if self.pushdown != aggregate_pushdown_enabled():
-            return False
-        if self.token != token:
-            return False
-        if self.query is query:
-            return True
-        try:
-            return self.query == query
-        except Exception:  # pragma: no cover - exotic __eq__ definitions
-            return False
 
     def describe(self) -> str:
         if self.reason:
@@ -180,16 +140,15 @@ def _base_column(query: AggregationQuery, name: str) -> Optional[str]:
 
 def derive_aggregate_strategy(path, query: AggregationQuery) -> AggregateStrategy:
     """Derive the pushdown strategy of *query* over *path* from the zones."""
-    token = path._zone_token()
-    pushdown = aggregate_pushdown_enabled()
+    token = path.decision_token()
 
     def operator(reason: str) -> AggregateStrategy:
         return AggregateStrategy(
             table=query.table, tier=TIER_OPERATOR, reason=reason,
-            token=token, pushdown=pushdown, query=query,
+            token=token, query=query,
         )
 
-    if not pushdown:
+    if not current_features().aggregate_pushdown:
         return operator("pushdown disabled")
     if query.joins:
         return operator("join")
@@ -206,7 +165,7 @@ def derive_aggregate_strategy(path, query: AggregationQuery) -> AggregateStrateg
             return AggregateStrategy(
                 table=query.table, tier=TIER_PARTITION_PARTIAL,
                 reason=f"{len(units)} partition(s) merge partial states",
-                token=token, pushdown=pushdown, query=query,
+                token=token, query=query,
             )
         return operator(reason)
 
@@ -214,13 +173,13 @@ def derive_aggregate_strategy(path, query: AggregationQuery) -> AggregateStrateg
         return AggregateStrategy(
             table=query.table, tier=TIER_CODE_DOMAIN,
             reason="dictionary codes as group ids",
-            token=token, pushdown=pushdown, query=query,
+            token=token, query=query,
         )
     return operator("row-store scan")
 
 
 def _try_zero_scan(
-    path, query: AggregationQuery, token: Tuple[int, ...]
+    path, query: AggregationQuery, token: tuple
 ) -> Optional[AggregateStrategy]:
     """A zero-scan strategy with its precomputed answer, or ``None``."""
     columns: List[Optional[str]] = []
@@ -306,7 +265,7 @@ def _try_zero_scan(
         reason += f", {skipped} provably empty"
     return AggregateStrategy(
         table=query.table, tier=TIER_ZERO_SCAN, reason=reason, token=token,
-        pushdown=True, query=query, partitions=tuple(verdicts),
+        query=query, partitions=tuple(verdicts),
         answer=tuple(answer),
     )
 

@@ -40,7 +40,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.batch import EncodedColumn
-from repro.engine.executor.agg_pushdown import aggregate_pushdown_enabled
+from repro.engine.features import current_features
 from repro.errors import ExecutionError
 from repro.query.ast import AggregateFunction, AggregateSpec
 
@@ -356,7 +356,7 @@ class GroupedAggregation:
         in the dictionary domain when pushdown is enabled and decode to
         value arrays otherwise (the decode-then-reduce reference).
         """
-        if aggregate_pushdown_enabled():
+        if current_features().aggregate_pushdown:
             aggregate_inputs = list(aggregate_inputs)
         else:
             # Decode-then-reduce reference: encoded inputs materialise up
@@ -455,7 +455,7 @@ class GroupedAggregation:
         """``(group_of_row, first_rows, num_groups)`` in first-occurrence
         order, or ``None`` when the keys resist vectorization."""
         single = group_key_columns[0] if len(group_key_columns) == 1 else None
-        if isinstance(single, EncodedColumn) and aggregate_pushdown_enabled():
+        if isinstance(single, EncodedColumn) and current_features().aggregate_pushdown:
             # Code-domain grouping: the codes *are* dense group ids — no
             # factorization, no inverse; one scatter marks the used codes,
             # one reverse assignment finds each code's first occurrence, and

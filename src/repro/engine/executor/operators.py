@@ -13,17 +13,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from repro.engine.batch import BatchColumn, ColumnBatch, take_column
 from repro.engine.deadline import deadline_check
 from repro.engine.executor.access import AccessPath
-from repro.engine.executor.agg_pushdown import (
-    TIER_PARTITION_PARTIAL,
-    TIER_ZERO_SCAN,
-    aggregate_pushdown_enabled,
-)
+from repro.engine.executor.agg_pushdown import TIER_PARTITION_PARTIAL, TIER_ZERO_SCAN
 from repro.engine.executor.aggregates import (
     GroupedAggregation,
     merge_partition_partials,
     partition_partial_rows,
 )
 from repro.engine.executor.join import join_dimension
+from repro.engine.features import current_features
 from repro.engine.timing import CostAccountant
 from repro.errors import QueryError
 from repro.query.ast import (
@@ -71,7 +68,7 @@ def execute_aggregation(
     strategy = base_path.aggregate_decision_for(query)
     accountant.record_aggregate_strategy(query.table, strategy.describe())
 
-    if aggregate_pushdown_enabled():
+    if current_features().aggregate_pushdown:
         if strategy.tier == TIER_ZERO_SCAN and strategy.answer is not None:
             # The answer was precomputed from the zone synopses; the collect
             # only replays the reference charges (nothing decodes — encoded

@@ -36,16 +36,12 @@ from repro.engine.executor.access import (
     validate_assignments,
 )
 from repro.engine.executor.agg_pushdown import AggregateUnit
+from repro.engine.features import current_features
 from repro.engine.partitioning import PartitionedTable
 from repro.engine.table import StoredTable
 from repro.engine.timing import CostAccountant
 from repro.engine.types import Store
-from repro.engine.zonemap import (
-    PartitionScan,
-    ScanDecision,
-    zone_can_match,
-    zone_pruning_enabled,
-)
+from repro.engine.zonemap import PartitionScan, ScanDecision, zone_can_match
 from repro.query.predicates import Predicate
 
 #: Prunable-unit labels of a partitioned table.
@@ -82,7 +78,7 @@ class PartitionedAccessPath(AccessPath):
     def _derive_decision(self, predicate: Optional[Predicate]) -> ScanDecision:
         table = self.table
         partitions: List[PartitionScan] = []
-        prune = predicate is not None and zone_pruning_enabled()
+        prune = predicate is not None and current_features().zone_pruning
 
         main_scan, main_reason = True, ""
         if prune and table.main_num_rows > 0:
@@ -112,9 +108,8 @@ class PartitionedAccessPath(AccessPath):
         return ScanDecision(
             table=table.name,
             predicate=predicate,
-            token=self._zone_token(),
+            token=self.decision_token(),
             partitions=tuple(partitions),
-            pruning=zone_pruning_enabled(),
         )
 
     def _count(self, accountant: CostAccountant, scanned: bool) -> None:
@@ -271,7 +266,7 @@ class PartitionedAccessPath(AccessPath):
 
     def _dml_decision(self, predicate: Optional[Predicate]) -> Optional[ScanDecision]:
         """The pruning decision gating a DML scan (``None`` = scan everything)."""
-        if predicate is None or not zone_pruning_enabled():
+        if predicate is None or not current_features().zone_pruning:
             return None
         return self.decision_for(predicate)
 

@@ -25,7 +25,9 @@ This module is the common core of the integrity layer:
   ``Session.repair()`` rebuilds the unit.  Verification is billed **zero
   simulated cost** — no :class:`~repro.engine.timing.CostAccountant`
   interaction — so every differential fuzzer stays bit-identical with
-  integrity on or off.
+  integrity on or off.  ``use_features(integrity=False)`` turns scan and
+  scrub verification off for a scope; quarantine already recorded keeps
+  raising, so corrupt data is never served.
 
 * **The scrubber** — :func:`scrub` walks every table's partition units
   (``integrity_units()`` on ``StoredTable``/``PartitionedTable``),
@@ -43,13 +45,12 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import IntegrityConfig
+from repro.engine.features import current_features
 from repro.errors import DataCorruptionError
 
 # -- checksums -------------------------------------------------------------------------
@@ -72,46 +73,6 @@ def unit_checksum(codes: np.ndarray, dictionary) -> int:
         tuple(dictionary.values), protocol=pickle.HIGHEST_PROTOCOL
     )
     return zlib.crc32(payload, crc) & 0xFFFFFFFF
-
-
-# -- process-wide configuration --------------------------------------------------------
-
-_CONFIG = IntegrityConfig()
-
-
-def apply_integrity_config(config: IntegrityConfig) -> None:
-    """Install *config* as the process-wide integrity policy."""
-    global _CONFIG
-    _CONFIG = config
-
-
-def integrity_config() -> IntegrityConfig:
-    return _CONFIG
-
-
-def integrity_enabled() -> bool:
-    """Whether checksum maintenance and verification run at all."""
-    return _CONFIG.enabled
-
-
-def verify_on_scan_enabled() -> bool:
-    return _CONFIG.enabled and _CONFIG.verify_on_scan
-
-
-@contextmanager
-def integrity_disabled() -> Iterator[None]:
-    """Scope with all checksum verification off (reference runs, tests).
-
-    Quarantine state already recorded keeps raising — disabling
-    verification must never un-quarantine corrupt data.
-    """
-    global _CONFIG
-    previous = _CONFIG
-    _CONFIG = replace(previous, enabled=False)
-    try:
-        yield
-    finally:
-        _CONFIG = previous
 
 
 # -- counters --------------------------------------------------------------------------
@@ -316,7 +277,7 @@ def scrub(table_objects: Iterable) -> IntegrityReport:
                         CorruptUnit(state.table, state.partition, name, reason)
                     )
                     continue
-                if not integrity_enabled():
+                if not current_features().integrity:
                     continue
                 epoch = backend.zone_epoch
                 had_baseline = (

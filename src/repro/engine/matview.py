@@ -18,7 +18,7 @@ reference (no NaN among group keys or MIN/MAX inputs — the same hazard test
 as the partition-partial tier); otherwise every refresh recomputes from
 scratch, which is always correct.
 
-The ``matview_disabled()`` toggle keeps the recompute-per-query reference
+``use_features(matview=False)`` keeps the recompute-per-query reference
 reachable: with views off, the session never serves from a view and every
 query charges its :class:`~repro.engine.timing.CostBreakdown` bit-identically
 to a database without views (pinned by the differential fuzzer).
@@ -26,9 +26,8 @@ to a database without views (pinned by the differential fuzzer).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.deadline import deadline_check
 from repro.engine.executor.access import SimpleAccessPath, empty_batch
@@ -55,8 +54,6 @@ from repro.query.fingerprint import fingerprint_tokens, query_fingerprint
 __all__ = [
     "MaterializedView",
     "RefreshResult",
-    "matview_disabled",
-    "matview_enabled",
     "view_serve_bytes",
 ]
 
@@ -65,32 +62,6 @@ REFRESH_INITIAL = "initial"
 REFRESH_INCREMENTAL = "incremental"
 REFRESH_FULL = "full"
 REFRESH_NOOP = "noop"
-
-_MATVIEW_ENABLED = True
-
-
-def matview_enabled() -> bool:
-    """Whether the session may answer matching queries from materialized views."""
-    return _MATVIEW_ENABLED
-
-
-@contextmanager
-def matview_disabled() -> Iterator[None]:
-    """Force every aggregation to execute against the base table.
-
-    The differential fuzzer runs recurring aggregates under this toggle too
-    and pins results *and* :class:`~repro.engine.timing.CostBreakdown`
-    charges identical to a database without views — views are a wall-clock
-    optimisation of the read path, never a semantic change.
-    """
-    global _MATVIEW_ENABLED
-    previous = _MATVIEW_ENABLED
-    _MATVIEW_ENABLED = False
-    try:
-        yield
-    finally:
-        _MATVIEW_ENABLED = previous
-
 
 def view_serve_bytes(num_rows: int, query: AggregationQuery) -> int:
     """Bytes a view serve reads: the materialized rows at 8 bytes per cell.

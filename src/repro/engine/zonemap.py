@@ -18,8 +18,10 @@ lazily on the next consult (e.g. after deletes shrank a partition's range).
 
 The access paths record their pruning verdicts in a :class:`ScanDecision`
 (which the planner embeds in the physical plan); the decision carries the
-zone epochs it was derived under, so a cached plan whose decision went stale
-re-derives it at execution time instead of skipping rows it must not skip.
+execution features and zone epochs it was derived under, so a cached plan
+whose decision went stale re-derives it at execution time instead of
+skipping rows it must not skip.  Pruning is the ``zone_pruning`` field of
+:class:`~repro.engine.features.ExecutionFeatures`.
 
 NULL/NaN semantics mirror the scalar predicate evaluator exactly:
 
@@ -34,9 +36,10 @@ NULL/NaN semantics mirror the scalar predicate evaluator exactly:
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
+
+from repro.engine.features import Decision
 
 from repro.query.predicates import (
     And,
@@ -58,12 +61,7 @@ __all__ = [
     "is_nan",
     "zone_can_match",
     "zone_must_match",
-    "zone_pruning_enabled",
-    "zone_pruning_disabled",
 ]
-
-
-_PRUNING_ENABLED = True
 
 #: Zone epochs are drawn from one process-wide counter so that epochs are
 #: unique across *backend instances*: a store conversion swaps a table's
@@ -75,23 +73,6 @@ _EPOCH_COUNTER = itertools.count(1)
 def next_zone_epoch() -> int:
     """A fresh, process-unique zone epoch."""
     return next(_EPOCH_COUNTER)
-
-
-def zone_pruning_enabled() -> bool:
-    """Whether scans may skip partitions based on zone maps."""
-    return _PRUNING_ENABLED
-
-
-@contextmanager
-def zone_pruning_disabled() -> Iterator[None]:
-    """Disable zone-map pruning (differential tests, decode-path baselines)."""
-    global _PRUNING_ENABLED
-    previous = _PRUNING_ENABLED
-    _PRUNING_ENABLED = False
-    try:
-        yield
-    finally:
-        _PRUNING_ENABLED = previous
 
 
 def is_nan(value: Any) -> bool:
@@ -421,23 +402,23 @@ class PartitionScan:
 
 
 @dataclass(frozen=True)
-class ScanDecision:
+class ScanDecision(Decision):
     """The pruning decision of one table's access path for one predicate.
 
-    ``token`` captures the zone epochs of the physical parts the decision
-    was derived from; an access path re-derives the decision when the token
-    (or the predicate — bound parameter values refine a template plan) no
-    longer matches, so a cached plan can never skip rows DML made visible.
-    ``pruning`` records the global toggle state at derivation time: flipping
-    ``zone_pruning_disabled()`` invalidates recorded decisions too, so the
-    reference path is reachable even through session-cached plans.
+    ``token`` captures the execution features and the zone epochs of the
+    physical parts the decision was derived from; an access path re-derives
+    the decision when the token (or the predicate — bound parameter values
+    refine a template plan) no longer matches, so a cached plan can never
+    skip rows DML made visible, and turning ``zone_pruning`` off reaches the
+    reference path even through session-cached plans.
     """
+
+    key_field = "predicate"
 
     table: str
     predicate: Optional[Predicate]
-    token: Tuple[int, ...]
+    token: tuple
     partitions: Tuple[PartitionScan, ...]
-    pruning: bool = True
 
     @property
     def scanned(self) -> int:
@@ -452,19 +433,6 @@ class ScanDecision:
             if entry.partition == partition:
                 return entry.scan
         return True
-
-    def matches(self, predicate: Optional[Predicate], token: Tuple[int, ...]) -> bool:
-        """Whether this decision still governs *predicate* under *token*."""
-        if self.pruning != zone_pruning_enabled():
-            return False
-        if self.token != token:
-            return False
-        if self.predicate is predicate:
-            return True
-        try:
-            return self.predicate == predicate
-        except Exception:  # pragma: no cover - exotic __eq__ definitions
-            return False
 
     def describe(self) -> str:
         text = f"{self.scanned} scanned, {self.skipped} skipped"

@@ -4,7 +4,7 @@ The serving contract: a statement whose fingerprint matches a view is
 answered from the materialized rows — after an incremental (or, when
 nothing is reusable, full) refresh if the base table changed — and the
 rewrite is visible in ``EXPLAIN`` / ``EXPLAIN ANALYZE``.  With
-``matview_disabled()`` the same statement takes the base path and charges
+``use_features(matview=False)`` the same statement takes the base path and charges
 bit-identically to a session that never had views.  Plan-cache keys carry
 the view-catalog version, so creating or dropping a view re-plans cached
 statements instead of silently serving the pre-view plan.
@@ -15,7 +15,7 @@ import pytest
 from repro.api import connect
 from repro.core import OnlineAdvisorMonitor
 from repro.engine import HorizontalPartitionSpec, Store, TablePartitioning
-from repro.engine.matview import matview_disabled
+from repro.engine.features import use_features
 from repro.query.predicates import ge
 
 pytestmark = pytest.mark.matview
@@ -36,7 +36,7 @@ def sorted_rows(rows):
 
 class TestViewServing:
     def test_served_rows_match_base(self, session):
-        with matview_disabled():
+        with use_features(matview=False):
             reference = session.sql(SQL)
         session.create_view("mv_sales", SQL)
         result = session.sql(SQL)
@@ -46,7 +46,7 @@ class TestViewServing:
     def test_disabled_toggle_is_bit_identical(self, session):
         plain = session.sql(SQL)
         session.create_view("mv_sales", SQL)
-        with matview_disabled():
+        with use_features(matview=False):
             result = session.sql(SQL)
         assert result.view_hits == {}
         assert sorted_rows(result.rows) == sorted_rows(plain.rows)
@@ -57,7 +57,7 @@ class TestViewServing:
         session.sql(INSERT)
         result = session.sql(SQL)
         assert result.view_hits == {"mv_sales": "served after full refresh"}
-        with matview_disabled():
+        with use_features(matview=False):
             reference = session.sql(SQL)
         assert sorted_rows(result.rows) == sorted_rows(reference.rows)
 
@@ -96,7 +96,7 @@ class TestSessionCounters:
         assert stats.view_rewrite_misses == 0
         assert stats.view_full_refreshes == 0
 
-        with matview_disabled():
+        with use_features(matview=False):
             session.sql(SQL)
         assert session.stats().view_rewrite_misses == 1
 
@@ -123,7 +123,7 @@ class TestSessionCounters:
         stats = session.stats()
         assert stats.view_incremental_refreshes == 1
         assert stats.view_full_refreshes == 0
-        with matview_disabled():
+        with use_features(matview=False):
             reference = session.sql(SQL)
         assert sorted_rows(result.rows) == sorted_rows(reference.rows)
 

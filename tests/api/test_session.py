@@ -195,7 +195,7 @@ class TestSerialExecution:
         """Execution is serial: lowering the shard floor changes nothing."""
         import multiprocessing
 
-        from repro.engine.shard import shard_config
+        from repro.engine.features import use_features
 
         session = connect(database=database_factory(Store.COLUMN))
         queries = [
@@ -204,7 +204,7 @@ class TestSerialExecution:
             "SELECT id, status FROM sales WHERE quantity >= 15",
         ]
         references = [session.sql(sql) for sql in queries]
-        with shard_config(min_rows=1):
+        with use_features(shard_min_rows=1):
             results = [session.sql(sql) for sql in queries]
         assert multiprocessing.active_children() == []
         for result, reference in zip(results, references):
@@ -214,10 +214,10 @@ class TestSerialExecution:
         session.close()
 
     def test_explain_analyze_shows_no_shard_lines(self, database_factory):
-        from repro.engine.shard import shard_config
+        from repro.engine.features import use_features
 
         session = connect(database=database_factory(Store.COLUMN))
-        with shard_config(min_rows=1):
+        with use_features(shard_min_rows=1):
             text = session.explain(
                 "SELECT sum(quantity), count(*) FROM sales WHERE quantity >= 3 "
                 "GROUP BY region",
@@ -235,7 +235,12 @@ class TestSerialExecution:
         from pathlib import Path
 
         from repro.engine.executor import operators
-        from repro.engine.shard import audit_shared_segments, shutdown_worker_pool
+        from repro.engine.features import current_features
+        from repro.engine.shard import (
+            audit_shared_segments,
+            shard_config,
+            shutdown_worker_pool,
+        )
 
         session = connect(database=database_factory(Store.COLUMN))
         session.sql("SELECT count(*) FROM sales WHERE quantity >= 3")
@@ -244,6 +249,10 @@ class TestSerialExecution:
         assert audit_shared_segments() == ([], [])
         assert operators.try_sharded_aggregation() is None
         assert operators.try_sharded_select() is None
+        with shard_config(min_rows=7):
+            with shard_config(min_rows=None):
+                assert current_features().shard_min_rows == 7
+        assert current_features().shard_min_rows == 200_000
         session.close()
 
         # A traced benchmark run resolves every entry point it wraps.

@@ -17,8 +17,9 @@ from repro.core.advisor.recommendation import StorageLayout
 from repro.core.advisor.table_level import TableLevelAdvisor
 from repro.core.cost_model.estimator import TableProfile
 from repro.engine import HybridDatabase, Store, TablePartitioning, VerticalPartitionSpec
+from repro.engine.features import current_features, use_features
 from repro.engine.schema import Column, TableSchema
-from repro.engine.shard import shard_bounds, shard_config, shard_min_rows
+from repro.engine.shard import shard_config
 from repro.engine.statistics import compute_table_statistics
 from repro.engine.types import DataType
 from repro.errors import AdvisorError
@@ -336,23 +337,6 @@ def grouped_metrics_query():
     )
 
 
-@pytest.mark.parametrize(
-    "num_rows, fan_out",
-    [(0, 4), (1, 4), (3, 2), (5, 1), (7, 7), (10, 4), (4_001, 4)],
-)
-def test_shard_bounds_cover_and_balance(num_rows, fan_out):
-    bounds = shard_bounds(num_rows, fan_out)
-    assert len(bounds) == fan_out
-    assert bounds[0][0] == 0 and bounds[-1][1] == num_rows
-    sizes = [stop - start for start, stop in bounds]
-    assert min(sizes) >= 0 and sum(sizes) == num_rows
-    assert max(sizes) - min(sizes) <= 1
-    # Larger ranges come first, so a remainder never lands on the last shard.
-    assert sizes == sorted(sizes, reverse=True)
-    for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-        assert stop == start
-
-
 class TestShardAdvisor:
     def test_recommends_group_aligned_key_via_memo(self):
         database = build_metrics_database(60_000)
@@ -362,7 +346,7 @@ class TestShardAdvisor:
             + [select("metrics").where(ge("hits", 10)).build()] * 5,
             name="shardable",
         )
-        with shard_config(min_rows=1):
+        with use_features(shard_min_rows=1):
             recommendations = advisor.recommend_shard_keys(database, workload)
             assert set(recommendations) == {"metrics"}
             recommendation = recommendations["metrics"]
@@ -388,7 +372,7 @@ class TestShardAdvisor:
         database = build_metrics_database(300)
         advisor = StorageAdvisor()
         workload = Workload([grouped_metrics_query()], name="tiny")
-        with shard_config(min_rows=1):
+        with use_features(shard_min_rows=1):
             assert advisor.recommend_shard_keys(database, workload) == {}
 
     def test_session_wrapper_respects_row_floor(self):
@@ -415,7 +399,7 @@ class TestShardAdvisor:
     def test_fan_out_defaults_to_four_and_scales_the_estimate(self):
         database = build_metrics_database(self.WHATIF_ROWS)
         advisor = StorageAdvisor()
-        with shard_config(min_rows=1):
+        with use_features(shard_min_rows=1):
             two = advisor.recommend_shard_keys(
                 database, self.shardable_workload(), fan_out=2
             )
@@ -436,18 +420,18 @@ class TestShardAdvisor:
     def test_row_floor_is_inclusive(self):
         database = build_metrics_database(self.WHATIF_ROWS)
         advisor = StorageAdvisor()
-        with shard_config(min_rows=self.WHATIF_ROWS):
+        with use_features(shard_min_rows=self.WHATIF_ROWS):
             assert set(
                 advisor.recommend_shard_keys(database, self.shardable_workload())
             ) == {"metrics"}
-        with shard_config(min_rows=self.WHATIF_ROWS + 1):
+        with use_features(shard_min_rows=self.WHATIF_ROWS + 1):
             assert advisor.recommend_shard_keys(
                 database, self.shardable_workload()
             ) == {}
 
     def test_row_store_assignment_is_never_sharded(self):
         database = build_metrics_database(self.WHATIF_ROWS)
-        with shard_config(min_rows=1):
+        with use_features(shard_min_rows=1):
             recommendations = StorageAdvisor().recommend_shard_keys(
                 database, self.shardable_workload(),
                 assignment={"metrics": Store.ROW},
@@ -461,7 +445,7 @@ class TestShardAdvisor:
             + [aggregate("metrics").count().join("other", "id", "id").build()] * 5,
             name="unshardable",
         )
-        with shard_config(min_rows=1):
+        with use_features(shard_min_rows=1):
             assert StorageAdvisor().recommend_shard_keys(database, workload) == {}
 
     def test_dispatch_overhead_decides(self):
@@ -469,7 +453,7 @@ class TestShardAdvisor:
 
         database = build_metrics_database(self.WHATIF_ROWS)
         costly = DeviceModelConfig(shard_dispatch_ns=1e9)
-        with shard_config(min_rows=1):
+        with use_features(shard_min_rows=1):
             assert StorageAdvisor().recommend_shard_keys(
                 database, self.shardable_workload()
             )
@@ -484,17 +468,19 @@ class TestShardAdvisor:
 
 
 class TestShardConfig:
+    """``shard_config`` is the stand-in the session benchmark scopes its floor with."""
+
     def test_row_floor_override_is_scoped(self):
-        assert shard_min_rows() == 200_000
+        assert current_features().shard_min_rows == 200_000
         with shard_config(min_rows=10):
-            assert shard_min_rows() == 10
+            assert current_features().shard_min_rows == 10
             # ``None`` keeps whatever floor is in force.
             with shard_config(min_rows=None):
-                assert shard_min_rows() == 10
-        assert shard_min_rows() == 200_000
+                assert current_features().shard_min_rows == 10
+        assert current_features().shard_min_rows == 200_000
 
     def test_restored_when_the_body_raises(self):
         with pytest.raises(RuntimeError):
             with shard_config(min_rows=1):
                 raise RuntimeError("boom")
-        assert shard_min_rows() == 200_000
+        assert current_features().shard_min_rows == 200_000

@@ -7,7 +7,7 @@ The tentpole contracts pinned here:
   zone-decidable) decode **nothing** — counted by instrumenting
   ``ColumnDictionary.decode_array``, like ``test_late_materialization``;
 * every pushdown tier charges the :class:`CostBreakdown` bit-identically to
-  the decode-then-reduce reference behind ``aggregate_pushdown_disabled()``;
+  the decode-then-reduce reference behind ``use_features(aggregate_pushdown=False)``;
 * the strategy recorded at plan time is exactly what execution consumes
   (``EXPLAIN ANALYZE`` pins the coincidence) and stale zone-epoch tokens
   re-derive it, so DML after planning can never serve a stale answer;
@@ -30,8 +30,8 @@ from repro.engine.executor.agg_pushdown import (
     TIER_OPERATOR,
     TIER_PARTITION_PARTIAL,
     TIER_ZERO_SCAN,
-    aggregate_pushdown_disabled,
 )
+from repro.engine.features import use_features
 from repro.engine.partitioning import (
     HorizontalPartitionSpec,
     TablePartitioning,
@@ -39,11 +39,7 @@ from repro.engine.partitioning import (
 )
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType, Store
-from repro.engine.zonemap import (
-    ColumnZone,
-    zone_must_match,
-    zone_pruning_disabled,
-)
+from repro.engine.zonemap import ColumnZone, zone_must_match
 from repro.query.builder import aggregate, delete, insert, select, update
 from repro.query.predicates import (
     And,
@@ -223,7 +219,7 @@ class TestZeroScan:
         assert counter.decoded == 0
         assert result.rows == [{"count_star": 100, "min_day": 0, "max_day": 99}]
         assert strategy_of(result).startswith(TIER_ZERO_SCAN)
-        with aggregate_pushdown_disabled():
+        with use_features(aggregate_pushdown=False):
             reference = database.execute(query)
         assert reference.rows == result.rows
         assert reference.cost.components == result.cost.components
@@ -239,7 +235,7 @@ class TestZeroScan:
             {"count_star": 0, "count_score": 0, "min_kind": None}
         ]
         assert strategy_of(result).startswith(TIER_ZERO_SCAN)
-        with aggregate_pushdown_disabled():
+        with use_features(aggregate_pushdown=False):
             reference = database.execute(query)
         assert reference.rows == result.rows
         assert reference.cost.components == result.cost.components
@@ -363,7 +359,7 @@ class TestDeltaDmlZoneExactness:
             "min_score": 0.0, "max_score": 49.0,
             "count_star": 50,
         }]
-        with aggregate_pushdown_disabled():
+        with use_features(aggregate_pushdown=False):
             reference = database.execute(query)
         assert reference.rows == result.rows
         assert reference.cost.components == result.cost.components
@@ -392,7 +388,7 @@ class TestDeltaDmlZoneExactness:
         result = database.execute(query)
         assert strategy_of(result).startswith(TIER_ZERO_SCAN)
         assert result.rows == [{"count_star": 0, "min_kind": None}]
-        with aggregate_pushdown_disabled():
+        with use_features(aggregate_pushdown=False):
             reference = database.execute(query)
         assert reference.rows == result.rows
         assert reference.cost.components == result.cost.components
@@ -429,7 +425,7 @@ class TestChargesBitIdentical:
         for label, database in self.layouts().items():
             for query in self.queries():
                 pushed = database.execute(query)
-                with aggregate_pushdown_disabled():
+                with use_features(aggregate_pushdown=False):
                     reference = database.execute(query)
                 context = f"[{label}] {query!r}"
                 assert pushed.cost.components == reference.cost.components, context
@@ -456,7 +452,7 @@ class TestPartitionPartial:
         )
         result = database.execute(query)
         assert strategy_of(result).startswith(TIER_PARTITION_PARTIAL)
-        with aggregate_pushdown_disabled():
+        with use_features(aggregate_pushdown=False):
             reference = database.execute(query)
         assert strategy_of(reference).startswith(TIER_OPERATOR)
         assert [row["kind"] for row in result.rows] == [
@@ -516,7 +512,7 @@ class TestDmlPruning:
         pruned_database = build()
         reference_database = build()
         pruned = pruned_database.execute(statement)
-        with zone_pruning_disabled():
+        with use_features(zone_pruning=False):
             reference = reference_database.execute(statement)
         final = select("events").build()
         assert (
@@ -619,7 +615,7 @@ class TestDmlPruning:
                     }])
                     next_id += 1
                 pruned = pruned_database.execute(statement)
-                with zone_pruning_disabled():
+                with use_features(zone_pruning=False):
                     reference = reference_database.execute(statement)
                 context = f"store={store} step={step} {statement!r}"
                 assert pruned.affected_rows == reference.affected_rows, context
@@ -713,7 +709,7 @@ class TestPartitionStatistics:
         assert partition_scan_fraction(lt("day", 50), profile) == pytest.approx(0.75)
         assert partition_scan_fraction(ge("day", 150), profile) == pytest.approx(0.25)
         assert partition_scan_fraction(gt("day", 10_000), profile) == 0.0
-        with zone_pruning_disabled():
+        with use_features(zone_pruning=False):
             assert partition_scan_fraction(lt("day", 50), profile) == 1.0
 
     def test_statistics_fingerprint_tracks_partition_bounds(self):

@@ -275,18 +275,18 @@ class TestFilterPositions:
         values = table.column_values("v")
         expected = [i for i, v in enumerate(values) if predicate.evaluate({"v": v})]
         assert positions.tolist() == expected
-        from repro.engine.column_store import code_domain_disabled
+        from repro.engine.features import use_features
 
-        with code_domain_disabled():
+        with use_features(code_domain=False):
             assert table.filter_positions(predicate).tolist() == expected
 
     def test_code_domain_disabled_matches_code_path_results(self, table):
-        from repro.engine.column_store import code_domain_disabled
+        from repro.engine.features import use_features
 
         predicate = And((eq("name", "item_2"), ge("id", 50)))
         fast = table.filter_positions(predicate).tolist()
         accountant = CostAccountant()
-        with code_domain_disabled():
+        with use_features(code_domain=False):
             slow = table.filter_positions(predicate, accountant).tolist()
         assert fast == slow
         assert accountant.snapshot().get("dictionary_decode", 0) > 0

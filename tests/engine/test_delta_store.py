@@ -5,9 +5,9 @@ rebuilding the dictionary-compressed *main* on every statement; scans read
 the union.  The contract pinned here:
 
 * results **and** simulated-cost charges are bit-identical to the inline
-  reference (``delta_writes_disabled()`` routes writes straight into main,
-  the pre-split behaviour) — the split is a wall-clock optimisation, never
-  a cost-model change;
+  reference (``use_features(delta_writes=False)`` routes writes straight
+  into main, the pre-split behaviour) — the split is a wall-clock
+  optimisation, never a cost-model change;
 * :meth:`merge_delta` folds the delta into main and lands on the *exact*
   physical state (codes and dictionaries) the inline path would have built,
   because dictionary accumulation is history-order independent;
@@ -21,12 +21,8 @@ the union.  The contract pinned here:
 
 import pytest
 
-from repro.engine.column_store import (
-    ColumnStoreTable,
-    DeltaColumn,
-    delta_writes_disabled,
-    delta_writes_enabled,
-)
+from repro.engine.column_store import ColumnStoreTable, DeltaColumn
+from repro.engine.features import use_features
 from repro.engine.schema import Column, TableSchema
 from repro.engine.timing import CostAccountant
 from repro.engine.types import DataType
@@ -61,7 +57,7 @@ def twin_tables():
     for start in (0, 10, 25):
         batch = make_rows(start, 10)
         delta_table.insert_rows(batch)
-        with delta_writes_disabled():
+        with use_features(delta_writes=False):
             inline_table.insert_rows(batch)
     return delta_table, inline_table
 
@@ -103,12 +99,6 @@ class TestBuffering:
         assert sorted(row["id"] for row in table.all_rows()) == [
             0, 1, 2, 3, 4, 5, 6, 8,
         ]
-
-    def test_disabled_toggle_restores_itself(self):
-        assert delta_writes_enabled()
-        with delta_writes_disabled():
-            assert not delta_writes_enabled()
-        assert delta_writes_enabled()
 
 
 class TestMergeEquivalence:
@@ -166,7 +156,7 @@ class TestMergeEquivalence:
         inline_table = ColumnStoreTable(SCHEMA)
         fast, slow = CostAccountant(), CostAccountant()
         delta_table.insert_rows(make_rows(0, 12), fast)
-        with delta_writes_disabled():
+        with use_features(delta_writes=False):
             inline_table.insert_rows(make_rows(0, 12), slow)
         assert fast.snapshot() == slow.snapshot()
 
@@ -188,7 +178,7 @@ class TestMidBatchFailure:
         if mode == "delta":
             run()
         else:
-            with delta_writes_disabled():
+            with use_features(delta_writes=False):
                 run()
         ids = sorted(row["id"] for row in table.all_rows())
         assert ids == [0, 1, 2, 3, 10, 11]  # prefix committed, suffix dropped
@@ -232,7 +222,7 @@ class TestMidBatchFailure:
                 return original_extend(self, values)
 
             monkeypatch.setattr(CompressedColumn, "extend", exploding_extend)
-            with delta_writes_disabled(), pytest.raises(TypeError):
+            with use_features(delta_writes=False), pytest.raises(TypeError):
                 table.insert_rows(make_rows(10, 3))
         monkeypatch.undo()
 

@@ -360,8 +360,7 @@ def test_pruning_and_code_domain_toggles_preserve_results(seed):
     and once with both disabled — and the row multisets must agree on every
     layout.  DML runs once, between the paired reads.
     """
-    from repro.engine.column_store import code_domain_disabled
-    from repro.engine.zonemap import zone_pruning_disabled
+    from repro.engine.features import use_features
 
     rng = random.Random(1000 + seed)
     rows = generate_rows(rng, rng.randrange(40, 200))
@@ -377,7 +376,7 @@ def test_pruning_and_code_domain_toggles_preserve_results(seed):
         query = random_select(rng) if rng.random() < 0.5 else random_aggregation(rng)
         for label, database in layouts.items():
             fast = database.execute(query).rows
-            with code_domain_disabled(), zone_pruning_disabled():
+            with use_features(code_domain=False, zone_pruning=False):
                 slow = database.execute(query).rows
             assert_rows_equivalent(
                 f"seed={seed} step={step} [{label}] pruning-vs-decode "
@@ -394,13 +393,13 @@ def test_aggregate_pushdown_toggle_preserves_results_and_charges(seed):
     Every aggregation is executed twice against the same databases — once
     with aggregate pushdown enabled (zero-scan answers, code-domain grouped
     aggregation, partition-partial merging) and once under
-    ``aggregate_pushdown_disabled()`` — and both the row multisets and the
+    ``use_features(aggregate_pushdown=False)`` — and both the row multisets and the
     :class:`CostBreakdown` components must agree on every layout: pushdown
     is a wall-clock optimisation, never a cost-model or semantics change.
     Covers grouped + ungrouped aggregates over mixed-NULL, NaN,
     empty-partition and post-DML tables.
     """
-    from repro.engine.executor.agg_pushdown import aggregate_pushdown_disabled
+    from repro.engine.features import use_features
 
     rng = random.Random(2000 + seed)
     num_rows = rng.choice([0, rng.randrange(1, 60), rng.randrange(60, 260)])
@@ -417,7 +416,7 @@ def test_aggregate_pushdown_toggle_preserves_results_and_charges(seed):
         query = random_aggregation(rng)
         for label, database in layouts.items():
             pushed = database.execute(query)
-            with aggregate_pushdown_disabled():
+            with use_features(aggregate_pushdown=False):
                 reference = database.execute(query)
             context = (
                 f"seed={seed} step={step} [{label}] pushdown-vs-decode "
@@ -434,16 +433,14 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
     Two databases per layout run the identical statement stream — one with
     delta writes on and a small merge threshold (so scans constantly read
     main+delta unions and merges fire mid-stream), one built and operated
-    entirely under ``delta_writes_disabled()`` (the inline pre-split
+    entirely under ``use_features(delta_writes=False)`` (the inline pre-split
     reference).  Every statement must agree on rows, affected counts *and*
     bit-identical :class:`CostBreakdown` components: the split is a
     wall-clock optimisation, never a semantics or cost-model change.  The
     stream includes duplicate-primary-key batches, whose mid-batch
     partial-commit contract must hold identically on both paths.
     """
-    import contextlib
-
-    from repro.engine.column_store import delta_writes_disabled
+    from repro.engine.features import use_features
     from repro.errors import ExecutionError
 
     rng = random.Random(3000 + seed)
@@ -452,8 +449,7 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
     split_at = rng.randrange(0, 7)
 
     def construct(reference):
-        guard = delta_writes_disabled() if reference else contextlib.nullcontext()
-        with guard:
+        with use_features(delta_writes=not reference):
             databases = {}
             database = HybridDatabase()
             if not reference:
@@ -493,8 +489,7 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
     def run_both(label, statement):
         outcomes = []
         for databases, reference in ((delta_dbs, False), (inline_dbs, True)):
-            guard = delta_writes_disabled() if reference else contextlib.nullcontext()
-            with guard:
+            with use_features(delta_writes=not reference):
                 try:
                     outcomes.append(("ok", databases[label].execute(statement)))
                 except ExecutionError as error:
@@ -541,7 +536,7 @@ def test_delta_writes_toggle_preserves_results_and_charges(seed):
     for label in delta_dbs:
         delta_dbs[label].merge_deltas()
         fast = delta_dbs[label].execute(probe)
-        with delta_writes_disabled():
+        with use_features(delta_writes=False):
             slow = inline_dbs[label].execute(probe)
         context = f"seed={seed} [{label}] post-merge"
         assert_rows_equivalent(context, fast.rows, slow.rows)
@@ -559,14 +554,14 @@ def test_matview_toggle_preserves_results_and_charges(seed):
     identically on both sessions (maintenance is off the DML path), every
     served aggregate must return the reference's row multiset (staleness is
     repaired before serving, never served), and re-running under
-    ``matview_disabled()`` must charge the :class:`CostBreakdown`
+    ``use_features(matview=False)`` must charge the :class:`CostBreakdown`
     bit-identically to the view-free session: views are a wall-clock
     optimisation, never a cost-model or semantics change.  Seed 1 partitions
     the base table, so refreshes alternate between the incremental
     (hot-only DML) and full (main touched / NaN group keys) paths.
     """
     from repro.api import connect
-    from repro.engine.matview import matview_disabled
+    from repro.engine.features import use_features
 
     recurring = [
         aggregate("facts").sum("quantity").count().group_by("category").build(),
@@ -617,7 +612,7 @@ def test_matview_toggle_preserves_results_and_charges(seed):
         reference = plain.execute(query)
         assert served.view_hits, context  # always rewritten, stale or not
         assert_rows_equivalent(context, served.rows, reference.rows)
-        with matview_disabled():
+        with use_features(matview=False):
             fallback = viewful.execute(query)
         assert not fallback.view_hits, context
         assert_rows_equivalent(context, fallback.rows, reference.rows)

@@ -30,13 +30,8 @@ import pytest
 
 from repro.api import connect
 from repro.api.session import recover
-from repro.config import IntegrityConfig
-from repro.engine.integrity import (
-    apply_integrity_config,
-    integrity_counters,
-    integrity_disabled,
-    unit_checksum,
-)
+from repro.engine.features import use_features
+from repro.engine.integrity import integrity_counters, unit_checksum
 from repro.engine.partitioning import (
     HorizontalPartitionSpec,
     TablePartitioning,
@@ -86,13 +81,6 @@ def open_session(tmp_path=None, **kwargs):
     session.create_table(SCHEMA, Store.COLUMN)
     session.load_rows("ledger", make_rows(NUM_ROWS))
     return session
-
-
-@pytest.fixture(autouse=True)
-def _default_integrity_config():
-    """Sessions may install a process-wide policy; always restore defaults."""
-    yield
-    apply_integrity_config(IntegrityConfig())
 
 
 # -- checksum primitives ---------------------------------------------------------------
@@ -249,7 +237,7 @@ def test_quarantine_survives_integrity_disabled():
     backend = session.database.table_object("ledger").backend
     flip_code_bit(backend, "amount")
     assert not session.verify_integrity().clean
-    with integrity_disabled():
+    with use_features(integrity=False):
         # Verification is off, but quarantined data must never serve.
         with pytest.raises(DataCorruptionError):
             session.sql("SELECT sum(amount) FROM ledger")
@@ -271,20 +259,6 @@ def test_legitimate_mutation_is_not_corruption():
     assert session.sql("SELECT count(id) FROM ledger").rows == [
         {"count_id": NUM_ROWS + 1}
     ]
-    session.close()
-
-
-def test_scan_verification_can_be_configured_off():
-    session = open_session(
-        integrity=IntegrityConfig(verify_on_scan=False)
-    )
-    session.verify_integrity()
-    backend = session.database.table_object("ledger").backend
-    flip_code_bit(backend, "amount")
-    # Scans no longer verify (no detection on read)...
-    session.sql("SELECT sum(amount) FROM ledger")
-    # ...but the explicit scrub still catches the flip.
-    assert not session.verify_integrity().clean
     session.close()
 
 
@@ -411,7 +385,7 @@ def test_explain_analyze_reports_integrity_lines():
 
 def test_verification_charges_zero_cost():
     """Integrity on/off never moves a query's CostBreakdown (fuzzer contract)."""
-    with integrity_disabled():
+    with use_features(integrity=False):
         reference_session = open_session()
         reference = reference_session.sql("SELECT sum(amount) FROM ledger")
         reference_session.close()

@@ -143,14 +143,14 @@ class TestDecodeCounting:
     def test_group_by_with_aggregate_decodes_per_row_when_pushdown_disabled(
         self, monkeypatch
     ):
-        from repro.engine.executor.agg_pushdown import aggregate_pushdown_disabled
+        from repro.engine.features import use_features
 
         rows = make_rows(400)
         database = build_database(Store.COLUMN, rows)
         num_groups = len({row["region"] for row in rows})
 
         counter = DecodeCounter(monkeypatch)
-        with aggregate_pushdown_disabled():
+        with use_features(aggregate_pushdown=False):
             result = database.execute(
                 aggregate("facts").sum("amount").group_by("region").build()
             )

@@ -19,8 +19,6 @@ from repro.engine.matview import (
     REFRESH_INITIAL,
     REFRESH_NOOP,
     MaterializedView,
-    matview_disabled,
-    matview_enabled,
 )
 from repro.engine.partitioning import HorizontalPartitionSpec, TablePartitioning
 from repro.engine.schema import Column, TableSchema
@@ -263,13 +261,3 @@ class TestDatabaseViewDDL:
         assert database.refresh_view("mv").kind == REFRESH_NOOP
         database.execute(insert("facts", make_rows(2, start=700)))
         assert database.refresh_view("mv").kind != REFRESH_NOOP
-
-
-def test_toggle_nests_and_restores():
-    assert matview_enabled()
-    with matview_disabled():
-        assert not matview_enabled()
-        with matview_disabled():
-            assert not matview_enabled()
-        assert not matview_enabled()
-    assert matview_enabled()

@@ -6,7 +6,7 @@ The contracts pinned here:
   deadline expired, raises ``QueryTimeoutError`` and records no execution.
 * **Matview refresh atomicity** — a crash at any declared
   ``matview.refresh.*`` point never installs a partial merge: the next
-  serve returns rows identical to the ``matview_disabled()`` reference.
+  serve returns rows identical to the ``use_features(matview=False)`` reference.
 * **Registration** — the declared crash-point counts are pinned so new
   crash points cannot land without landing here too.
 """
@@ -14,7 +14,7 @@ The contracts pinned here:
 import pytest
 
 from repro.engine.deadline import deadline_check, query_deadline
-from repro.engine.matview import matview_disabled
+from repro.engine.features import use_features
 from repro.engine.schema import Column, TableSchema
 from repro.errors import QueryTimeoutError
 from repro.testing.faults import (
@@ -181,7 +181,7 @@ def test_matview_refresh_crash_never_installs_partial_state(crash_at):
             session.execute(query)
     # The interrupted refresh installed nothing: the next serve (which
     # refreshes again) matches the base-table reference bit-for-bit.
-    with matview_disabled():
+    with use_features(matview=False):
         reference = session.execute(query)
     served = session.execute(query)
     assert_same_rows(served.rows, reference.rows)
@@ -195,7 +195,7 @@ def test_matview_refresh_deadline_cancellation():
     with pytest.raises(QueryTimeoutError):
         session.execute(query, timeout=0.0)
     # The cancelled refresh installed nothing; the view still serves fresh.
-    with matview_disabled():
+    with use_features(matview=False):
         reference = session.execute(query)
     served = session.execute(query)
     assert_same_rows(served.rows, reference.rows)

@@ -121,8 +121,8 @@ class TestStoreEquivalence:
         float 0.0 and drifted to float where the vectorized paths kept
         ints) and the code-domain reduction, with identical values."""
         from repro.engine.database import HybridDatabase
-        from repro.engine.executor.agg_pushdown import aggregate_pushdown_disabled
         from repro.engine.executor.aggregates import aggregate_values
+        from repro.engine.features import use_features
         from repro.engine.types import Store
         from repro.query.ast import AggregateFunction
         from repro.query.builder import aggregate
@@ -137,11 +137,8 @@ class TestStoreEquivalence:
             database = HybridDatabase()
             database.create_table(SCHEMA, store=store)
             database.load_rows("events", rows)
-            for context in (aggregate_pushdown_disabled, None):
-                if context is None:
+            for pushdown in (False, True):
+                with use_features(aggregate_pushdown=pushdown):
                     value = database.execute(query).rows[0]["sum_priority"]
-                else:
-                    with context():
-                        value = database.execute(query).rows[0]["sum_priority"]
                 assert value == expected, store
-                assert type(value) is int, (store, context)
+                assert type(value) is int, (store, pushdown)

@@ -299,12 +299,12 @@ class TestPruningToggle:
     def test_disabling_pruning_invalidates_cached_decisions(self):
         """The reference path must be reachable through session-cached plans.
 
-        A recorded skip decision carries the toggle state it was derived
-        under; entering ``zone_pruning_disabled()`` re-derives it, so the
+        A recorded skip decision carries the features it was derived under;
+        entering ``use_features(zone_pruning=False)`` re-derives it, so the
         decode-path differential really compares two different scan paths.
         """
         from repro.api import connect
-        from repro.engine.zonemap import zone_pruning_disabled
+        from repro.engine.features import use_features
 
         session = connect()
         session.create_table(SCHEMA, Store.COLUMN)
@@ -312,7 +312,7 @@ class TestPruningToggle:
         sql = "SELECT id FROM events WHERE day > 1000"
         pruned = session.execute(sql)
         assert pruned.scan_stats["events"] == (0, 1)
-        with zone_pruning_disabled():
+        with use_features(zone_pruning=False):
             unpruned = session.execute(sql)
             assert unpruned.scan_stats["events"] == (1, 0)
         assert pruned.rows == unpruned.rows == []
